@@ -4,6 +4,8 @@
 #include <atomic>
 #include <memory>
 
+#include <sched.h>
+
 namespace rtgs
 {
 
@@ -13,13 +15,30 @@ namespace
 /** Pool whose workerLoop the current thread is running, if any. */
 thread_local ThreadPool *tl_current_pool = nullptr;
 
+/**
+ * CPUs the calling thread may run on: its affinity mask, so a process
+ * pinned by taskset or a cpuset sizes its pool to the CPUs it really
+ * has. Falls back to hardware_concurrency() when the mask is unknown.
+ */
+size_t
+usableCpus()
+{
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+        const int n = CPU_COUNT(&allowed);
+        if (n > 0)
+            return static_cast<size_t>(n);
+    }
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
 } // namespace
 
 ThreadPool::ThreadPool(size_t num_threads)
 {
-    if (num_threads == 0) {
-        num_threads = std::max(1u, std::thread::hardware_concurrency());
-    }
+    if (num_threads == 0)
+        num_threads = usableCpus();
     workers_.reserve(num_threads);
     for (size_t i = 0; i < num_threads; ++i)
         workers_.emplace_back([this] { workerLoop(); });
@@ -99,24 +118,35 @@ ThreadPool::post(std::function<void()> task)
     enqueue(std::move(task));
 }
 
+size_t
+ThreadPool::chunkCount(size_t total, size_t grain) const
+{
+    // 4 chunks per thread (caller + workers) keeps the tail balanced
+    // without much dispatch traffic.
+    const size_t g = std::max<size_t>(grain, 1);
+    return std::clamp<size_t>((total + g - 1) / g, 1,
+                              (workers_.size() + 1) * 4);
+}
+
 void
 ThreadPool::parallelForChunks(size_t begin, size_t end,
-                              const std::function<void(size_t, size_t)> &fn)
+                              const std::function<void(size_t, size_t)> &fn,
+                              size_t grain)
 {
     if (begin >= end)
         return;
 
     size_t total = end - begin;
+    size_t chunks = chunkCount(total, grain);
     // A worker calling parallelFor must not block on chunks that only
-    // workers can drain (it *is* the drain); run the range inline.
-    if (total == 1 || workers_.empty() || onWorkerThread()) {
+    // workers can drain (it *is* the drain); run the range inline. So
+    // does a range too small to pay for a fork-join.
+    if (chunks == 1 || workers_.empty() || onWorkerThread()) {
         fn(begin, end);
         return;
     }
 
-    // Caller + workers all pull chunks from a shared counter; 4 chunks
-    // per thread keeps the tail balanced without much dispatch traffic.
-    size_t chunks = std::min(total, (workers_.size() + 1) * 4);
+    // Caller + workers all pull chunks from a shared counter.
     size_t chunk_size = (total + chunks - 1) / chunks;
 
     struct State

@@ -43,7 +43,9 @@ class ThreadPool : public Executor
     /**
      * Create a pool.
      *
-     * @param num_threads Worker count; 0 selects hardware concurrency.
+     * @param num_threads Worker count; 0 selects one worker per CPU in
+     *        the calling thread's affinity mask (hardware concurrency
+     *        when the mask cannot be read).
      */
     explicit ThreadPool(size_t num_threads = 0);
     ~ThreadPool() override;
@@ -70,10 +72,22 @@ class ThreadPool : public Executor
     /**
      * Chunked variant: fn(lo, hi) is invoked once per contiguous chunk,
      * letting hot loops avoid a std::function call per index. Same
-     * blocking / nesting semantics as parallelFor.
+     * blocking / nesting semantics as parallelFor. `grain` is the
+     * smallest chunk worth a fork-join (chunkCount); a range of at most
+     * one grain runs inline on the caller.
      */
     void parallelForChunks(size_t begin, size_t end,
-                           const std::function<void(size_t, size_t)> &fn);
+                           const std::function<void(size_t, size_t)> &fn,
+                           size_t grain = 1);
+
+    /**
+     * Chunks to split `total` items into when one chunk should carry at
+     * least `grain` items: ceil(total / grain), capped at 4 per thread
+     * (caller + workers), and at least 1. Stages with their own fixed
+     * chunk boundaries size them with this, so work below one grain
+     * stays a single inline chunk.
+     */
+    size_t chunkCount(size_t total, size_t grain) const;
 
     /**
      * Enqueue a standalone task and return a future that becomes ready

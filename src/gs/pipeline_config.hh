@@ -7,8 +7,9 @@
  *
  *   preset          exp eval          storage        contract
  *   --------------  ----------------  -------------  --------------------
- *   precise         scalar std::exp   fp32           byte-identical to the
- *                                                    serial reference
+ *   precise         std::exp per      fp32           byte-identical to the
+ *                   pixel (8-wide                    serial reference on
+ *                   rows on AVX2)                    every non-NaN value
  *   fast            SIMD faithful exp fp32           <= 1 ulp exp; fp32
  *                                                    blend, reassociated
  *   fastest_approx  SIMD poly exp     fp16 colour/   <= 16 ulp exp; fp32
@@ -32,7 +33,7 @@ namespace rtgs::gs
 /** Rungs of the precision/SIMD ladder, slowest-and-exact first. */
 enum class PipelinePreset : u8
 {
-    Precise = 0,       //!< scalar kernels, bit-exact vs the reference
+    Precise = 0,       //!< scalar-order kernels, bit-exact vs reference
     Fast = 1,          //!< SIMD kernels, faithfully-rounded exp, fp32
     FastestApprox = 2, //!< SIMD kernels, polynomial exp, fp16 storage
 };

@@ -181,7 +181,7 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
             out.soa.powerSkip[k] =
                 expSkipBound(p.opacity, settings.alphaMin);
         }
-    });
+    }, kProjectGrain);
     return out;
 }
 

@@ -104,10 +104,20 @@ struct ProjectedCloud
 };
 
 /**
+ * Smallest Gaussian count worth a projection chunk of its own
+ * (ThreadPool::chunkCount); smaller clouds project inline. Measured
+ * with bench_micro_rasterizer's BM_StageGrain on a 4-vCPU x86-64 VM
+ * (~3.5 effective cores): a full fork-join first beat inline at 4096
+ * Gaussians (440 vs 483 us) and lost below (423 vs 301 us at 2048).
+ */
+inline constexpr size_t kProjectGrain = 4096;
+
+/**
  * Project all active Gaussians through the camera, in parallel over
  * Gaussians (each writes only its own record, so the result is
- * deterministic). Masked or culled Gaussians produce entries with
- * valid = false so indices stay aligned with the cloud.
+ * deterministic; clouds of at most kProjectGrain run inline). Masked
+ * or culled Gaussians produce entries with valid = false so indices
+ * stay aligned with the cloud.
  */
 ProjectedCloud projectGaussians(const GaussianCloud &cloud,
                                 const Camera &camera,

@@ -12,9 +12,10 @@ namespace
 /**
  * Shared scalar body for the exact and approx forward rows. EXP is
  * either std::exp (the `precise` contract: operation-for-operation the
- * pre-ladder loop, byte-identical to the serial reference) or the
- * polynomial twin. Everything else — skip tests, blend order, the
- * termination bookkeeping — is common, which is exactly the point: a
+ * pre-ladder loop, byte-identical to the serial reference; the
+ * avx2-precise kernel repeats it lane by lane) or the polynomial twin.
+ * Everything else — skip tests, blend order, the termination
+ * bookkeeping — is common, which is exactly the point: a
  * rung may only change how exp is evaluated, never which fragments
  * blend in which order.
  */
@@ -217,17 +218,15 @@ expFaithfulBatch(const Real *x, Real *out, size_t n)
 const RowKernels &
 selectRowKernels(PipelinePreset preset, SimdLevel level)
 {
-    if (preset == PipelinePreset::Precise)
-        return kScalarExact;
-    const bool approx = preset == PipelinePreset::FastestApprox;
     if (level >= SimdLevel::Avx2) {
-        if (const RowKernels *k = rowKernelsAvx2(approx))
+        if (const RowKernels *k = rowKernelsAvx2(preset))
             return *k;
     }
-    // Scalar dispatch: `fast` degrades to exact scalar (its only
-    // speed lever was SIMD); `fastest_approx` keeps the polynomial
-    // exp, which also wins in scalar form.
-    return approx ? kScalarApprox : kScalarExact;
+    // Scalar dispatch: `precise` and `fast` run the exact scalar
+    // kernel (`fast`'s only speed lever was SIMD); `fastest_approx`
+    // keeps the polynomial exp, which also wins in scalar form.
+    return preset == PipelinePreset::FastestApprox ? kScalarApprox
+                                                   : kScalarExact;
 }
 
 } // namespace rtgs::gs

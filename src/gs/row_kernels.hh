@@ -14,14 +14,19 @@
  *
  * Implementations:
  *  - scalar exact  — replicates the pre-ladder loops operation for
- *    operation; the `precise` rung and the fallback when AVX2 is
- *    unavailable. Byte-identical to the serial reference.
+ *    operation; the `precise` rung under scalar dispatch and the
+ *    `fast` fallback when AVX2 is unavailable. Byte-identical to the
+ *    serial reference.
  *  - scalar approx — same structure with the polynomial exp; the
  *    `fastest_approx` rung under scalar dispatch.
+ *  - AVX2 precise — 8 pixels at a time, the scalar-exact operations in
+ *    the same order (no FMA, std::exp per live lane, masked stores,
+ *    per-splat sums added in pixel order): bitwise equal to scalar
+ *    exact on every non-NaN value.
  *  - AVX2 exact/approx — 8-wide with FMA, faithfully-rounded
- *    (<= 1 ulp) or polynomial (<= 16 ulp) exp; compiled in one
- *    TU with -mavx2/-mfma and selected only when CPUID reports
- *    support (common/cpu_features.hh).
+ *    (<= 1 ulp) or polynomial (<= 16 ulp) exp.
+ * The AVX2 tables are compiled in one TU with -mavx2/-mfma and selected
+ * only when CPUID reports support (common/cpu_features.hh).
  */
 
 #ifndef RTGS_GS_ROW_KERNELS_HH
@@ -112,12 +117,11 @@ struct RowKernels
 };
 
 /**
- * Pick the kernel table for a preset at an explicit SIMD level.
- * `Precise` always returns the scalar-exact table (its contract is
- * byte-identity, which no reassociated SIMD path can honour); `Fast`
- * and `FastestApprox` return AVX2 tables when the level allows and the
- * binary carries them, otherwise the scalar table of matching exp
- * flavour.
+ * Pick the kernel table for a preset at an explicit SIMD level: the
+ * preset's AVX2 table when the level allows and the binary carries it,
+ * otherwise the scalar table of matching exp flavour. Both `precise`
+ * tables (scalar-exact, avx2-precise) are byte-identical to the serial
+ * reference on every non-NaN value.
  */
 const RowKernels &selectRowKernels(PipelinePreset preset, SimdLevel level);
 
@@ -145,11 +149,11 @@ void expApproxBatch(const Real *x, Real *out, size_t n);
 void expFaithfulBatch(const Real *x, Real *out, size_t n);
 
 /**
- * AVX2 kernel table from the -mavx2 TU, or nullptr when the toolchain
- * could not build it. Internal to the dispatcher and the micro-bench;
- * call through selectRowKernels() everywhere else.
+ * A preset's AVX2 kernel table from the -mavx2 TU, or nullptr when the
+ * toolchain could not build it. Internal to the dispatcher; call
+ * through selectRowKernels() everywhere else.
  */
-const RowKernels *rowKernelsAvx2(bool approx_exp);
+const RowKernels *rowKernelsAvx2(PipelinePreset preset);
 
 /** AVX2 exp batch hooks (nullptr function behaviour: see above). */
 bool expBatchAvx2(const Real *x, Real *out, size_t n, bool approx);

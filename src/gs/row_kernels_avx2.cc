@@ -1,7 +1,7 @@
 /**
  * @file
- * 8-wide AVX2+FMA row kernels for the `fast` and `fastest_approx`
- * rungs, plus the two vector exp flavours:
+ * 8-wide AVX2 row kernels for all three rungs, plus the two vector exp
+ * flavours of the fast rungs:
  *
  *  - expFaithful8: double-internal (two 4-wide halves), faithfully
  *    rounded to float — <= 1 ulp vs std::exp over the live range.
@@ -12,17 +12,29 @@
  * This is the only TU compiled with -mavx2/-mfma (set per-file in
  * CMakeLists.txt); when the toolchain can't do that, the whole body
  * compiles away and rowKernelsAvx2() returns nullptr, so the
- * dispatcher falls back to scalar. Numeric contract of both rungs:
+ * dispatcher falls back to scalar.
+ *
+ * Numeric contract of the `fast` and `fastest_approx` kernels:
  * identical fragment set and blend order to `precise` (same skip
  * tests, same per-pixel recurrences), fp32 state, but reassociated
  * lane arithmetic with FMA — results are deterministic per rung and
  * worker-count independent, just not bit-equal to scalar.
+ *
+ * The `precise` kernels (avx2-precise) instead repeat the scalar-exact
+ * kernel's operations lane by lane in the same order: plain mul/add (no
+ * FMA; the library builds with -ffp-contract=off), NaN-passing skip
+ * tests, std::exp per live lane, masked stores, and the per-splat
+ * gradient sums added in scalar in pixel order. Every non-NaN output
+ * bit equals scalar-exact's; only NaN payload and sign bits may differ,
+ * because operand order inside a commutative op is the compiler's.
  */
 
 #include "gs/row_kernels.hh"
 
 #if defined(__AVX2__) && defined(__FMA__)
 
+#include <cmath>
+#include <cstdint>
 #include <immintrin.h>
 
 namespace rtgs::gs
@@ -436,6 +448,304 @@ backwardRowAvx2(const HotSplat &g, Real dy, u32 sx0, u32 n, u32 slot,
     out.sYY += sum8(a_syy);
 }
 
+/**
+ * Exact u32 -> float of 8 lanes, rounding like the scalar
+ * static_cast: both 16-bit halves convert exactly, so the one add
+ * rounds once (cvtepi32_ps alone would misread lanes >= 2^31).
+ */
+inline __m256
+u32ToFloat8(__m256i v)
+{
+    __m256 hi = _mm256_cvtepi32_ps(_mm256_srli_epi32(v, 16));
+    __m256 lo = _mm256_cvtepi32_ps(
+        _mm256_and_si256(v, _mm256_set1_epi32(0xFFFF)));
+    return _mm256_add_ps(_mm256_mul_ps(hi, _mm256_set1_ps(65536.0f)), lo);
+}
+
+/**
+ * evalPowerRow's operation sequence on 8 lanes: dx =
+ * (float(sx0 + i) + 0.5) - mx and power = -0.5 * ((cxx dx dx +
+ * 2 cxy dx dy) + cyy dy dy), every product and sum rounded in the
+ * scalar order. cyy dy dy is the same value for the whole row, so it is
+ * computed once.
+ */
+struct PowerRow8
+{
+    __m256 mx, cxx, cxy2, dy, cyy_dy_dy;
+
+    PowerRow8(const HotSplat &g, Real row_dy)
+        : mx(_mm256_set1_ps(g.mx)), cxx(_mm256_set1_ps(g.cxx)),
+          cxy2(_mm256_set1_ps(Real(2) * g.cxy)),
+          dy(_mm256_set1_ps(row_dy)),
+          cyy_dy_dy(_mm256_set1_ps(g.cyy * row_dy * row_dy))
+    {
+    }
+
+    /** Power of pixels x..x+7; their dx offsets go to `dx`. */
+    __m256
+    eval(u32 x, __m256 &dx) const
+    {
+        __m256i px = _mm256_add_epi32(
+            _mm256_set1_epi32(static_cast<i32>(x)),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+        dx = _mm256_sub_ps(
+            _mm256_add_ps(u32ToFloat8(px), _mm256_set1_ps(0.5f)), mx);
+        __m256 q = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(cxx, dx), dx),
+                          _mm256_mul_ps(_mm256_mul_ps(cxy2, dx), dy)),
+            cyy_dy_dy);
+        return _mm256_mul_ps(_mm256_set1_ps(-0.5f), q);
+    }
+
+    /**
+     * Lanes passing the scalar kernel's `power > 0` and `power < skip`
+     * rejects. The unordered predicates let a NaN power through, as
+     * the scalar `continue`s do.
+     */
+    static __m256
+    inRange(__m256 power, __m256 skip)
+    {
+        return _mm256_and_ps(
+            _mm256_cmp_ps(power, _mm256_setzero_ps(), _CMP_NGT_UQ),
+            _mm256_cmp_ps(power, skip, _CMP_NLT_UQ));
+    }
+};
+
+/**
+ * std::exp of every `live` lane, in lane order; other lanes read 0.
+ * One libm call per live pixel is the precise contract: a vector exp
+ * would round differently. Calling it per 8-pixel step keeps each row
+ * to one pass; a row spans at most one tile width (16 pixels by
+ * default), so most rows are one or two steps.
+ */
+inline __m256
+expLive(__m256 x, __m256 live)
+{
+    alignas(32) float in[8];
+    alignas(32) float out[8] = {};
+    _mm256_store_ps(in, x);
+    for (unsigned bits = static_cast<unsigned>(_mm256_movemask_ps(live));
+         bits != 0; bits &= bits - 1) {
+        const int j = __builtin_ctz(bits);
+        out[j] = std::exp(in[j]);
+    }
+    return _mm256_load_ps(out);
+}
+
+/** Forward row of the `precise` rung: forwardRowScalar<stdExp>, 8-wide. */
+u32
+forwardRowPrecise(const HotSplat &g, Real dy, u32 sx0, u32 n, u32 slot,
+                  const RowKernelCtx &ctx, const ForwardRowState &px,
+                  Real *)
+{
+    const PowerRow8 row(g, dy);
+    const __m256 skip = _mm256_set1_ps(g.powerSkip);
+    const __m256 opacity = _mm256_set1_ps(g.opacity);
+    const __m256 alpha_min = _mm256_set1_ps(ctx.alphaMin);
+    const __m256 alpha_max = _mm256_set1_ps(ctx.alphaMax);
+    const __m256 t_eps = _mm256_set1_ps(ctx.tEps);
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 col_r = _mm256_set1_ps(g.r);
+    const __m256 col_g = _mm256_set1_ps(g.g);
+    const __m256 col_b = _mm256_set1_ps(g.b);
+    const __m256 col_d = _mm256_set1_ps(g.depth);
+    const __m256i vslot = _mm256_set1_epi32(static_cast<i32>(slot));
+
+    u32 newly_terminated = 0;
+    for (u32 i = 0; i < n; i += 8) {
+        const __m256i lanes = tailMask(n - i >= 8 ? 8 : n - i);
+        __m256 dx;
+        const __m256 power = row.eval(sx0 + i, dx);
+        __m256 live = _mm256_and_ps(PowerRow8::inRange(power, skip),
+                                    _mm256_castsi256_ps(lanes));
+        if (_mm256_testz_ps(live, live))
+            continue;
+        const __m256 T = _mm256_maskload_ps(px.T + i, lanes);
+        live = _mm256_and_ps(live, _mm256_cmp_ps(T, t_eps, _CMP_NLT_UQ));
+        if (_mm256_testz_ps(live, live))
+            continue;
+        // std::min(alphaMax, a) is (a < alphaMax ? a : alphaMax), which
+        // is exactly minps(a, alphaMax), NaN included.
+        const __m256 alpha = _mm256_min_ps(
+            _mm256_mul_ps(opacity, expLive(power, live)), alpha_max);
+        live = _mm256_and_ps(live,
+                             _mm256_cmp_ps(alpha, alpha_min, _CMP_NLT_UQ));
+        if (_mm256_testz_ps(live, live))
+            continue;
+
+        // Only blending lanes are loaded and stored: every other lane
+        // keeps its bits, signed zeros and NaNs included.
+        const __m256i blend = _mm256_castps_si256(live);
+        const __m256 t_next = _mm256_mul_ps(T, _mm256_sub_ps(one, alpha));
+        const __m256 w = _mm256_mul_ps(alpha, T);
+        _mm256_maskstore_ps(
+            px.r + i, blend,
+            _mm256_add_ps(_mm256_maskload_ps(px.r + i, blend),
+                          _mm256_mul_ps(col_r, w)));
+        _mm256_maskstore_ps(
+            px.g + i, blend,
+            _mm256_add_ps(_mm256_maskload_ps(px.g + i, blend),
+                          _mm256_mul_ps(col_g, w)));
+        _mm256_maskstore_ps(
+            px.b + i, blend,
+            _mm256_add_ps(_mm256_maskload_ps(px.b + i, blend),
+                          _mm256_mul_ps(col_b, w)));
+        _mm256_maskstore_ps(
+            px.d + i, blend,
+            _mm256_add_ps(_mm256_maskload_ps(px.d + i, blend),
+                          _mm256_mul_ps(col_d, w)));
+        _mm256_maskstore_ps(px.T + i, blend, t_next);
+
+        // blended += 1 on blend lanes (the mask is -1 there).
+        i32 *blended_i = reinterpret_cast<i32 *>(px.blended + i);
+        _mm256_maskstore_epi32(
+            blended_i, blend,
+            _mm256_sub_epi32(_mm256_maskload_epi32(blended_i, blend),
+                             blend));
+
+        const __m256 term =
+            _mm256_and_ps(live, _mm256_cmp_ps(t_next, t_eps, _CMP_LT_OQ));
+        if (!_mm256_testz_ps(term, term)) {
+            _mm256_maskstore_epi32(reinterpret_cast<i32 *>(px.term + i),
+                                   _mm256_castps_si256(term), vslot);
+            newly_terminated += laneCount(term);
+        }
+    }
+    return newly_terminated;
+}
+
+/**
+ * Backward row of the `precise` rung: backwardRowScalar<stdExp> with the
+ * per-pixel recurrences 8-wide. The per-lane gradient products come out
+ * of SIMD; their sums into the splat's ten accumulators stay scalar and
+ * in pixel order, so every rounding matches the scalar kernel's.
+ */
+void
+backwardRowPrecise(const HotSplat &g, Real dy, u32 sx0, u32 n, u32 slot,
+                   const RowKernelCtx &ctx, const BackwardRowState &px,
+                   BackwardSplatAccum &out, Real *)
+{
+    const PowerRow8 row(g, dy);
+    const __m256 skip = _mm256_set1_ps(g.powerSkip);
+    const __m256 opacity = _mm256_set1_ps(g.opacity);
+    const __m256 alpha_min = _mm256_set1_ps(ctx.alphaMin);
+    const __m256 alpha_max = _mm256_set1_ps(ctx.alphaMax);
+    const __m256 one = _mm256_set1_ps(1.0f);
+    const __m256 col_r = _mm256_set1_ps(g.r);
+    const __m256 col_g = _mm256_set1_ps(g.g);
+    const __m256 col_b = _mm256_set1_ps(g.b);
+    const __m256 col_d = _mm256_set1_ps(g.depth);
+    // Unsigned slot < ce as a signed compare of sign-flipped values.
+    const __m256i flip = _mm256_set1_epi32(INT32_MIN);
+    const __m256i vslot =
+        _mm256_xor_si256(_mm256_set1_epi32(static_cast<i32>(slot)), flip);
+
+    Real d_r = out.dR, d_g = out.dG, d_b = out.dB;
+    Real d_depth = out.dDepth, d_op = out.dOp;
+    Real s_x = out.sX, s_y = out.sY;
+    Real s_xx = out.sXX, s_xy = out.sXY, s_yy = out.sYY;
+    alignas(32) float p_r[8], p_g[8], p_b[8], p_d[8], p_op[8];
+    alignas(32) float p_x[8], p_y[8], p_xx[8], p_xy[8], p_yy[8];
+
+    for (u32 i = 0; i < n; i += 8) {
+        const __m256i lanes = tailMask(n - i >= 8 ? 8 : n - i);
+        __m256 dx;
+        const __m256 power = row.eval(sx0 + i, dx);
+        __m256 live = _mm256_and_ps(PowerRow8::inRange(power, skip),
+                                    _mm256_castsi256_ps(lanes));
+        if (_mm256_testz_ps(live, live))
+            continue;
+        const __m256i ce = _mm256_maskload_epi32(
+            reinterpret_cast<const i32 *>(px.ce + i), lanes);
+        live = _mm256_and_ps(live, _mm256_castsi256_ps(_mm256_cmpgt_epi32(
+                                       _mm256_xor_si256(ce, flip), vslot)));
+        if (_mm256_testz_ps(live, live))
+            continue;
+        const __m256 gval = expLive(power, live);
+        const __m256 raw_alpha = _mm256_mul_ps(opacity, gval);
+        const __m256 clamped =
+            _mm256_cmp_ps(raw_alpha, alpha_max, _CMP_GT_OQ);
+        const __m256 alpha = _mm256_blendv_ps(raw_alpha, alpha_max, clamped);
+        live = _mm256_and_ps(live,
+                             _mm256_cmp_ps(alpha, alpha_min, _CMP_NLT_UQ));
+        if (_mm256_testz_ps(live, live))
+            continue;
+
+        const __m256i blend = _mm256_castps_si256(live);
+        const __m256 T = _mm256_maskload_ps(px.T + i, blend);
+        const __m256 acc = _mm256_maskload_ps(px.acc + i, blend);
+        const __m256 dlR = _mm256_maskload_ps(px.dlR + i, blend);
+        const __m256 dlG = _mm256_maskload_ps(px.dlG + i, blend);
+        const __m256 dlB = _mm256_maskload_ps(px.dlB + i, blend);
+        const __m256 dlD = _mm256_maskload_ps(px.dlD + i, blend);
+        const __m256 bgT = _mm256_maskload_ps(px.bgT + i, blend);
+
+        const __m256 om = _mm256_sub_ps(one, alpha);
+        const __m256 inv_om = _mm256_div_ps(one, om);
+        const __m256 t_before = _mm256_mul_ps(T, inv_om);
+        const __m256 w = _mm256_mul_ps(alpha, t_before);
+        const __m256 gd = _mm256_add_ps(
+            _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(col_r, dlR),
+                                        _mm256_mul_ps(col_g, dlG)),
+                          _mm256_mul_ps(col_b, dlB)),
+            _mm256_mul_ps(col_d, dlD));
+        const __m256 dl_dalpha =
+            _mm256_sub_ps(_mm256_mul_ps(_mm256_sub_ps(gd, acc), t_before),
+                          _mm256_mul_ps(bgT, inv_om));
+        const __m256 dl_dpower = _mm256_mul_ps(alpha, dl_dalpha);
+        const __m256 mx = _mm256_mul_ps(dx, dl_dpower);
+        const __m256 my = _mm256_mul_ps(row.dy, dl_dpower);
+
+        _mm256_store_ps(p_r, _mm256_mul_ps(dlR, w));
+        _mm256_store_ps(p_g, _mm256_mul_ps(dlG, w));
+        _mm256_store_ps(p_b, _mm256_mul_ps(dlB, w));
+        _mm256_store_ps(p_d, _mm256_mul_ps(dlD, w));
+        _mm256_store_ps(p_op, _mm256_mul_ps(gval, dl_dalpha));
+        _mm256_store_ps(p_x, mx);
+        _mm256_store_ps(p_y, my);
+        _mm256_store_ps(p_xx, _mm256_mul_ps(dx, mx));
+        _mm256_store_ps(p_xy, _mm256_mul_ps(dx, my));
+        _mm256_store_ps(p_yy, _mm256_mul_ps(row.dy, my));
+
+        _mm256_maskstore_ps(px.T + i, blend, t_before);
+        _mm256_maskstore_ps(
+            px.acc + i, blend,
+            _mm256_add_ps(_mm256_mul_ps(gd, alpha), _mm256_mul_ps(acc, om)));
+
+        const unsigned unclamped =
+            ~static_cast<unsigned>(_mm256_movemask_ps(clamped));
+        for (unsigned bits = static_cast<unsigned>(_mm256_movemask_ps(live));
+             bits != 0; bits &= bits - 1) {
+            const int j = __builtin_ctz(bits);
+            d_r += p_r[j];
+            d_g += p_g[j];
+            d_b += p_b[j];
+            d_depth += p_d[j];
+            if (unclamped & (1u << j)) {
+                d_op += p_op[j];
+                s_x += p_x[j];
+                s_y += p_y[j];
+                s_xx += p_xx[j];
+                s_xy += p_xy[j];
+                s_yy += p_yy[j];
+            }
+        }
+    }
+
+    out.dR = d_r;
+    out.dG = d_g;
+    out.dB = d_b;
+    out.dDepth = d_depth;
+    out.dOp = d_op;
+    out.sX = s_x;
+    out.sY = s_y;
+    out.sXX = s_xx;
+    out.sXY = s_xy;
+    out.sYY = s_yy;
+}
+
+const RowKernels kAvx2Precise{forwardRowPrecise, backwardRowPrecise,
+                              "avx2-precise"};
 const RowKernels kAvx2Exact{forwardRowAvx2<expFaithful8>,
                             backwardRowAvx2<expFaithful8>, "avx2-exact"};
 const RowKernels kAvx2Approx{forwardRowAvx2<expApprox8>,
@@ -444,9 +754,17 @@ const RowKernels kAvx2Approx{forwardRowAvx2<expApprox8>,
 } // namespace
 
 const RowKernels *
-rowKernelsAvx2(bool approx_exp)
+rowKernelsAvx2(PipelinePreset preset)
 {
-    return approx_exp ? &kAvx2Approx : &kAvx2Exact;
+    switch (preset) {
+    case PipelinePreset::Precise:
+        return &kAvx2Precise;
+    case PipelinePreset::Fast:
+        return &kAvx2Exact;
+    case PipelinePreset::FastestApprox:
+        return &kAvx2Approx;
+    }
+    return nullptr;
 }
 
 bool
@@ -481,7 +799,7 @@ namespace rtgs::gs
 {
 
 const RowKernels *
-rowKernelsAvx2(bool)
+rowKernelsAvx2(PipelinePreset)
 {
     return nullptr; // toolchain built this TU without AVX2 support
 }

@@ -39,7 +39,7 @@ radixSortPairs(std::vector<u64> &keys, std::vector<u32> &values,
         return;
 
     ThreadPool &pool = globalPool();
-    const size_t nchunks = std::min<size_t>(n, (pool.size() + 1) * 4);
+    const size_t nchunks = pool.chunkCount(n, kSortGrain);
     const size_t chunk = (n + nchunks - 1) / nchunks;
 
     std::vector<u64> keys_tmp(n);
@@ -113,14 +113,17 @@ sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected)
     // re-sorting after a re-projection can never use stale ordering.
     // Tile ranges are disjoint, so the fill parallelises over tiles.
     bins.keys.resize(bins.indices.size());
-    globalPool().parallelForChunks(
-        0, bins.tiles, [&](size_t lo, size_t hi) {
-            for (u32 t = static_cast<u32>(lo); t < hi; ++t)
-                for (u32 i = bins.offsets[t]; i < bins.offsets[t + 1];
-                     ++i)
-                    bins.keys[i] = packTileDepthKey(
-                        t, projected[bins.indices[i]].depth);
-        });
+    auto fill = [&](size_t lo, size_t hi) {
+        for (u32 t = static_cast<u32>(lo); t < hi; ++t)
+            for (u32 i = bins.offsets[t]; i < bins.offsets[t + 1]; ++i)
+                bins.keys[i] =
+                    packTileDepthKey(t, projected[bins.indices[i]].depth);
+    };
+    ThreadPool &pool = globalPool();
+    if (pool.chunkCount(bins.indices.size(), kSortGrain) == 1)
+        fill(0, bins.tiles); // the sort below runs inline too
+    else
+        pool.parallelForChunks(0, bins.tiles, fill);
 
     // Depth occupies the low 32 bits; the tile id needs bitsFor(tiles-1)
     // more. Tile grouping already matches the key order, so the sort

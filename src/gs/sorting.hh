@@ -28,9 +28,21 @@ bool tilesAreDepthSorted(const TileBins &bins,
                          const ProjectedCloud &projected);
 
 /**
+ * Smallest key count worth a radix-sort chunk of its own
+ * (ThreadPool::chunkCount). Up to it every pass, and the key fill, run
+ * inline: no fork-join per histogram or scatter. Measured with
+ * bench_micro_rasterizer's BM_StageGrain on a 4-vCPU x86-64 VM (~3.5
+ * effective cores): two fork-joins per pass lost to inline at every
+ * size up to 262144 keys (16.6 vs 14.9 ms there; 10.5 vs 2.5 ms at
+ * 65536).
+ */
+inline constexpr size_t kSortGrain = 262144;
+
+/**
  * Stable LSD radix sort of (key, value) pairs by key, in parallel
- * 8-bit-digit passes. Only digits below bits_used are processed, and
- * passes whose digit is constant across all keys are skipped.
+ * 8-bit-digit passes (inline up to kSortGrain keys). Only digits below
+ * bits_used are processed, and passes whose digit is constant across
+ * all keys are skipped.
  */
 void radixSortPairs(std::vector<u64> &keys, std::vector<u32> &values,
                     u32 bits_used);

@@ -82,8 +82,7 @@ intersectTiles(const ProjectedCloud &projected, const TileGrid &grid)
     // scatter stable: chunk c's slice of each tile's range starts right
     // after the slices of chunks 0..c-1, so ids land in ascending
     // Gaussian order no matter which thread runs which chunk.
-    const size_t nchunks =
-        std::min<size_t>(n, (pool.size() + 1) * 4);
+    const size_t nchunks = pool.chunkCount(n, kBinGrain);
     const size_t chunk = (n + nchunks - 1) / nchunks;
 
     std::vector<FootprintRect> rects(n);

@@ -93,10 +93,19 @@ packTileDepthKey(u32 tile, Real depth)
 }
 
 /**
+ * Smallest Gaussian count worth a binning chunk of its own
+ * (ThreadPool::chunkCount); smaller clouds bin inline. Measured with
+ * bench_micro_rasterizer's BM_StageGrain on a 4-vCPU x86-64 VM (~3.5
+ * effective cores): inline beat a full fork-join at every size up to
+ * 16384 Gaussians (324 vs 623 us there).
+ */
+inline constexpr size_t kBinGrain = 16384;
+
+/**
  * Assign each valid projected Gaussian to all tiles it overlaps.
- * Parallel over Gaussians; the scatter is stable, so each tile's range
- * lists ids in ascending Gaussian order (the order the old per-tile
- * push_back loop produced).
+ * Parallel over Gaussians (inline up to kBinGrain of them); the
+ * scatter is stable, so each tile's range lists ids in ascending
+ * Gaussian order (the order the old per-tile push_back loop produced).
  */
 TileBins intersectTiles(const ProjectedCloud &projected,
                         const TileGrid &grid);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -258,6 +260,55 @@ TEST(ThreadPool, ParallelForChunksCoversRangeOnce)
     });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ChunkCountScalesWithGrain)
+{
+    ThreadPool pool(3);
+    EXPECT_EQ(pool.chunkCount(0, 100), 1u);
+    EXPECT_EQ(pool.chunkCount(100, 100), 1u);
+    EXPECT_EQ(pool.chunkCount(101, 100), 2u);
+    EXPECT_EQ(pool.chunkCount(5, 1), 5u);
+    // Capped at 4 chunks per thread (3 workers + the caller).
+    EXPECT_EQ(pool.chunkCount(1000000, 100), 16u);
+}
+
+TEST(ThreadPool, RangeWithinOneGrainRunsInline)
+{
+    ThreadPool pool(3);
+    int calls = 0;
+    bool on_worker = true;
+    pool.parallelForChunks(
+        0, 500,
+        [&](size_t lo, size_t hi) {
+            EXPECT_EQ(lo, 0u);
+            EXPECT_EQ(hi, 500u);
+            on_worker = pool.onWorkerThread();
+            ++calls;
+        },
+        500);
+    EXPECT_EQ(calls, 1);
+    EXPECT_FALSE(on_worker);
+}
+
+TEST(ThreadPool, DefaultSizeFollowsAffinityMask)
+{
+    // Pin this thread to one CPU it may already use, as taskset or a
+    // cpuset would pin the process: the default pool must not start a
+    // worker per host CPU to timeslice that one.
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved))
+        ++cpu;
+    ASSERT_LT(cpu, CPU_SETSIZE);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const size_t pinned_size = ThreadPool().size();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned_size, 1u);
 }
 
 TEST(ThreadPool, OnWorkerThreadDetection)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/rng.hh"
@@ -60,6 +61,61 @@ struct RandomScene
     }
 };
 
+/** Field-by-field bitwise match of a projection with the reference. */
+void
+expectProjectionMatchesReference(const ProjectedCloud &par,
+                                 const ProjectedCloud &ser)
+{
+    ASSERT_EQ(par.size(), ser.size());
+    for (size_t k = 0; k < par.size(); ++k) {
+        ASSERT_EQ(par[k].valid, ser[k].valid);
+        if (!par[k].valid)
+            continue;
+        EXPECT_EQ(par[k].mean2d.x, ser[k].mean2d.x);
+        EXPECT_EQ(par[k].mean2d.y, ser[k].mean2d.y);
+        EXPECT_EQ(par[k].depth, ser[k].depth);
+        EXPECT_EQ(par[k].conic.xx, ser[k].conic.xx);
+        EXPECT_EQ(par[k].radius, ser[k].radius);
+        // SoA mirror agrees with the AoS record.
+        EXPECT_EQ(par.soa.meanX[k], par[k].mean2d.x);
+        EXPECT_EQ(par.soa.depth[k], par[k].depth);
+        EXPECT_EQ(par.soa.opacity[k], par[k].opacity);
+    }
+}
+
+/** Binning (and its depth sort) matches the reference's tile lists. */
+void
+expectBinsMatchReference(const ProjectedCloud &proj, const TileGrid &grid)
+{
+    ReferenceTileLists ref = intersectTilesReference(proj, grid);
+    TileBins bins = intersectTiles(proj, grid);
+
+    ASSERT_EQ(bins.tiles, grid.tileCount());
+    ASSERT_EQ(bins.totalIntersections(), ref.totalIntersections());
+    for (u32 t = 0; t < grid.tileCount(); ++t) {
+        ASSERT_EQ(bins.count(t), ref.lists[t].size()) << "tile " << t;
+        // Pre-sort, both emit ascending Gaussian order.
+        for (u32 i = 0; i < bins.count(t); ++i)
+            EXPECT_EQ(bins.tileData(t)[i], ref.lists[t][i]);
+    }
+
+    // After sorting, both orders coincide too: the radix sort and the
+    // per-tile stable_sort are stable under equal depths.
+    sortTilesByDepthReference(ref, proj);
+    sortTilesByDepth(bins, proj);
+    EXPECT_TRUE(tilesAreDepthSorted(bins, proj));
+    for (u32 t = 0; t < grid.tileCount(); ++t)
+        for (u32 i = 0; i < bins.count(t); ++i)
+            EXPECT_EQ(bins.tileData(t)[i], ref.lists[t][i]);
+}
+
+/** The last inline size, one grain, and the first size that forks. */
+std::array<size_t, 3>
+aroundGrain(size_t grain)
+{
+    return {grain - 1, grain, grain + 1};
+}
+
 } // namespace
 
 class PipelineEquivalence : public ::testing::TestWithParam<u64>
@@ -104,53 +160,16 @@ TEST_P(PipelineEquivalence, FlatBinsMatchReferenceLists)
         projectGaussians(scene.cloud, scene.camera, settings);
     TileGrid grid(scene.camera.intr.width, scene.camera.intr.height,
                   settings.tileSize);
-
-    ReferenceTileLists ref = intersectTilesReference(proj, grid);
-    TileBins bins = intersectTiles(proj, grid);
-
-    ASSERT_EQ(bins.tiles, grid.tileCount());
-    ASSERT_EQ(bins.totalIntersections(), ref.totalIntersections());
-    for (u32 t = 0; t < grid.tileCount(); ++t) {
-        ASSERT_EQ(bins.count(t), ref.lists[t].size()) << "tile " << t;
-        // Pre-sort, both emit ascending Gaussian order.
-        for (u32 i = 0; i < bins.count(t); ++i)
-            EXPECT_EQ(bins.tileData(t)[i], ref.lists[t][i]);
-    }
-
-    // After sorting, both orders coincide too: the radix sort and the
-    // per-tile stable_sort are stable under equal depths.
-    sortTilesByDepthReference(ref, proj);
-    sortTilesByDepth(bins, proj);
-    EXPECT_TRUE(tilesAreDepthSorted(bins, proj));
-    for (u32 t = 0; t < grid.tileCount(); ++t)
-        for (u32 i = 0; i < bins.count(t); ++i)
-            EXPECT_EQ(bins.tileData(t)[i], ref.lists[t][i]);
+    expectBinsMatchReference(proj, grid);
 }
 
 TEST_P(PipelineEquivalence, ProjectionMatchesSerialReference)
 {
     RandomScene scene(GetParam());
     RenderSettings settings;
-    ProjectedCloud par =
-        projectGaussians(scene.cloud, scene.camera, settings);
-    ProjectedCloud ser =
-        projectGaussiansReference(scene.cloud, scene.camera, settings);
-
-    ASSERT_EQ(par.size(), ser.size());
-    for (size_t k = 0; k < par.size(); ++k) {
-        ASSERT_EQ(par[k].valid, ser[k].valid);
-        if (!par[k].valid)
-            continue;
-        EXPECT_EQ(par[k].mean2d.x, ser[k].mean2d.x);
-        EXPECT_EQ(par[k].mean2d.y, ser[k].mean2d.y);
-        EXPECT_EQ(par[k].depth, ser[k].depth);
-        EXPECT_EQ(par[k].conic.xx, ser[k].conic.xx);
-        EXPECT_EQ(par[k].radius, ser[k].radius);
-        // SoA mirror agrees with the AoS record.
-        EXPECT_EQ(par.soa.meanX[k], par[k].mean2d.x);
-        EXPECT_EQ(par.soa.depth[k], par[k].depth);
-        EXPECT_EQ(par.soa.opacity[k], par[k].opacity);
-    }
+    expectProjectionMatchesReference(
+        projectGaussians(scene.cloud, scene.camera, settings),
+        projectGaussiansReference(scene.cloud, scene.camera, settings));
 }
 
 namespace
@@ -372,6 +391,66 @@ TEST(RadixSort, MatchesStableSortAndKeepsTies)
     for (size_t i = 0; i < keys.size(); ++i) {
         EXPECT_EQ(keys[i], expect[i].first);
         EXPECT_EQ(vals[i], expect[i].second);
+    }
+}
+
+// Stage grains: up to one grain of work runs inline, one item more
+// forks. Both sides of each cutoff must give the serial result.
+
+TEST(StageGrain, ProjectionMatchesReferenceAroundGrain)
+{
+    for (size_t n : aroundGrain(kProjectGrain)) {
+        SCOPED_TRACE(n);
+        RandomScene scene(n, n);
+        RenderSettings settings;
+        expectProjectionMatchesReference(
+            projectGaussians(scene.cloud, scene.camera, settings),
+            projectGaussiansReference(scene.cloud, scene.camera,
+                                      settings));
+    }
+}
+
+TEST(StageGrain, BinningMatchesReferenceAroundGrain)
+{
+    for (size_t n : aroundGrain(kBinGrain)) {
+        SCOPED_TRACE(n);
+        RandomScene scene(n, n);
+        RenderSettings settings;
+        ProjectedCloud proj =
+            projectGaussians(scene.cloud, scene.camera, settings);
+        ASSERT_EQ(proj.size(), n);
+        TileGrid grid(scene.camera.intr.width, scene.camera.intr.height,
+                      settings.tileSize);
+        expectBinsMatchReference(proj, grid);
+    }
+}
+
+TEST(StageGrain, RadixSortMatchesStableSortAroundGrain)
+{
+    for (size_t n : aroundGrain(kSortGrain)) {
+        SCOPED_TRACE(n);
+        Rng rng(n);
+        std::vector<u64> keys(n);
+        std::vector<u32> vals(n);
+        std::vector<std::pair<u64, u32>> expect(n);
+        for (size_t i = 0; i < n; ++i) {
+            // Few distinct depths per tile, so ties exercise stability.
+            keys[i] = static_cast<u64>(rng.uniformInt(300)) << 32 |
+                      static_cast<u64>(rng.uniformInt(1024));
+            vals[i] = static_cast<u32>(i);
+            expect[i] = {keys[i], vals[i]};
+        }
+        std::stable_sort(expect.begin(), expect.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.first < b.first;
+                         });
+
+        radixSortPairs(keys, vals, 32 + 9);
+        size_t mismatches = 0;
+        for (size_t i = 0; i < n; ++i)
+            mismatches += keys[i] != expect[i].first ||
+                          vals[i] != expect[i].second;
+        EXPECT_EQ(mismatches, 0u);
     }
 }
 

@@ -5,6 +5,8 @@
  *  - the `precise` rung is BITWISE identical to the serial reference
  *    forward pass (the strongest cross-implementation check the repo
  *    has: two independent loop structures, one bit pattern);
+ *  - the avx2-precise row kernels match scalar-exact bit for bit on
+ *    every non-NaN value, over randomised rows with extreme inputs;
  *  - the approx exp honours its <= 16 ulp bound and the faithful exp
  *    its <= 1 ulp bound over the live power range, on whatever path
  *    the process dispatches to (AVX2 or scalar);
@@ -17,6 +19,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/cpu_features.hh"
@@ -142,6 +145,243 @@ TEST_P(SimdPrecise, BitwiseMatchesSerialReference)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimdPrecise,
                          ::testing::Values(3u, 17u, 88u, 2026u));
+
+// ---------------------------------------------------------------------
+// precise rung: avx2-precise vs scalar-exact row kernels
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+u32
+floatBits(float v)
+{
+    u32 b;
+    std::memcpy(&b, &v, 4);
+    return b;
+}
+
+/** The kernel contract: equal bits, except a NaN need only meet a NaN. */
+bool
+sameBitsOrBothNaN(float want, float got)
+{
+    return std::isnan(want) ? std::isnan(got)
+                            : floatBits(want) == floatBits(got);
+}
+
+/**
+ * Row-kernel fuzz inputs: mostly live-range values, with a fraction
+ * swapped for ±0, denormals, ±inf, ±1e30 and NaN.
+ */
+struct RowFuzz
+{
+    Rng rng;
+
+    explicit RowFuzz(u64 seed) : rng(seed) {}
+
+    Real
+    extreme()
+    {
+        const Real inf = std::numeric_limits<Real>::infinity();
+        const Real kSpecials[] = {
+            Real(0), -Real(0), Real(1e-40), -Real(1e-40),
+            std::numeric_limits<Real>::denorm_min(), inf, -inf,
+            Real(1e30), Real(-1e30),
+            std::numeric_limits<Real>::quiet_NaN()};
+        return kSpecials[rng.uniformInt(std::size(kSpecials))];
+    }
+
+    /** uniform(lo, hi), or an extreme value with probability p. */
+    Real
+    value(double lo, double hi, double p = 0.02)
+    {
+        return rng.chance(p) ? extreme()
+                             : static_cast<Real>(rng.uniform(lo, hi));
+    }
+
+    /** Row start; now and then past 2^31, where u32 -> float rounds. */
+    u32
+    rowStart()
+    {
+        return rng.chance(0.01)
+                   ? 0x80000000u + static_cast<u32>(rng.uniformInt(1u << 30))
+                   : static_cast<u32>(rng.uniformInt(400));
+    }
+
+    HotSplat
+    splat(u32 sx0, u32 n)
+    {
+        HotSplat g;
+        g.mx = value(sx0 - 2.0, sx0 + n + 2.0);
+        g.my = value(-4, 4);
+        g.cxx = value(0.005, 1.5);
+        g.cxy = value(-0.3, 0.3);
+        g.cyy = value(0.005, 1.5);
+        g.opacity = value(0.01, 1.0);
+        g.powerSkip = value(-6, -0.5);
+        g.r = value(0, 1);
+        g.g = value(0, 1);
+        g.b = value(0, 1);
+        g.depth = value(0.5, 8);
+        return g;
+    }
+};
+
+RowKernelCtx
+fuzzCtx(RowFuzz &f)
+{
+    return {f.value(1.0 / 255, 1.0 / 255, 0.01),
+            f.value(0.99, 0.99, 0.01), f.value(1e-4, 1e-4, 0.01)};
+}
+
+/** Skip unless the host can run (and the binary carries) avx2-precise. */
+#define REQUIRE_AVX2_PRECISE(scalar, avx2)                              \
+    do {                                                                \
+        if (detectedSimdLevel() < SimdLevel::Avx2 || &(scalar) == &(avx2)) \
+            GTEST_SKIP() << "no AVX2 precise kernels on this host";     \
+    } while (0)
+
+} // namespace
+
+TEST(SimdPreciseKernels, ForwardRowMatchesScalarExactBitwise)
+{
+    const RowKernels &scalar =
+        selectRowKernels(PipelinePreset::Precise, SimdLevel::Scalar);
+    const RowKernels &avx2 =
+        selectRowKernels(PipelinePreset::Precise, SimdLevel::Avx2);
+    REQUIRE_AVX2_PRECISE(scalar, avx2);
+    EXPECT_STREQ(avx2.name, "avx2-precise");
+
+    // Eight trailing lanes past the row catch stray tail stores.
+    constexpr u32 kPad = 8;
+    RowFuzz f(0xF0F0);
+    for (int trial = 0; trial < 60000; ++trial) {
+        const u32 n = 1 + static_cast<u32>(f.rng.uniformInt(40));
+        const u32 sx0 = f.rowStart();
+        const u32 slot = static_cast<u32>(f.rng.uniformInt(64));
+        const HotSplat g = f.splat(sx0, n);
+        const Real dy = f.value(-5, 5);
+        const RowKernelCtx ctx = fuzzCtx(f);
+
+        const size_t len = n + kPad;
+        std::vector<Real> real_in[5];
+        for (auto &v : real_in) {
+            v.resize(len);
+            for (Real &x : v)
+                x = f.value(0, 1);
+        }
+        std::vector<u32> blended_in(len), term_in(len);
+        for (size_t i = 0; i < len; ++i) {
+            blended_in[i] = static_cast<u32>(f.rng.uniformInt(50));
+            term_in[i] = f.rng.chance(0.8)
+                             ? kRowNotTerminated
+                             : static_cast<u32>(f.rng.uniformInt(64));
+        }
+
+        auto run = [&](const RowKernels &k, std::vector<Real> (&st)[5],
+                       std::vector<u32> &blended, std::vector<u32> &term) {
+            for (int c = 0; c < 5; ++c)
+                st[c] = real_in[c];
+            blended = blended_in;
+            term = term_in;
+            std::vector<Real> scratch(2 * n);
+            const ForwardRowState px{st[0].data(), st[1].data(),
+                                     st[2].data(), st[3].data(),
+                                     st[4].data(), blended.data(),
+                                     term.data()};
+            return k.forwardRow(g, dy, sx0, n, slot, ctx, px,
+                                scratch.data());
+        };
+        std::vector<Real> want[5], got[5];
+        std::vector<u32> want_bl, got_bl, want_term, got_term;
+        const u32 want_ret = run(scalar, want, want_bl, want_term);
+        const u32 got_ret = run(avx2, got, got_bl, got_term);
+
+        ASSERT_EQ(want_ret, got_ret) << "trial " << trial;
+        ASSERT_EQ(want_bl, got_bl) << "trial " << trial;
+        ASSERT_EQ(want_term, got_term) << "trial " << trial;
+        for (int c = 0; c < 5; ++c)
+            for (size_t i = 0; i < len; ++i)
+                ASSERT_TRUE(sameBitsOrBothNaN(want[c][i], got[c][i]))
+                    << "trial " << trial << " field " << c << " px " << i
+                    << ": " << want[c][i] << " vs " << got[c][i];
+    }
+}
+
+TEST(SimdPreciseKernels, BackwardRowMatchesScalarExactBitwise)
+{
+    const RowKernels &scalar =
+        selectRowKernels(PipelinePreset::Precise, SimdLevel::Scalar);
+    const RowKernels &avx2 =
+        selectRowKernels(PipelinePreset::Precise, SimdLevel::Avx2);
+    REQUIRE_AVX2_PRECISE(scalar, avx2);
+
+    constexpr u32 kPad = 8;
+    RowFuzz f(0xB0B0);
+    for (int trial = 0; trial < 60000; ++trial) {
+        const u32 n = 1 + static_cast<u32>(f.rng.uniformInt(40));
+        const u32 sx0 = f.rowStart();
+        const u32 slot = static_cast<u32>(f.rng.uniformInt(64));
+        const HotSplat g = f.splat(sx0, n);
+        const Real dy = f.value(-5, 5);
+        const RowKernelCtx ctx = fuzzCtx(f);
+
+        const size_t len = n + kPad;
+        // T, acc, bgT, dlR, dlG, dlB, dlD.
+        std::vector<Real> in[7];
+        for (int c = 0; c < 7; ++c) {
+            in[c].resize(len);
+            for (Real &x : in[c])
+                x = c == 0 ? f.value(1e-4, 1) : f.value(-1, 1);
+        }
+        // Some counts above 2^31 exercise the unsigned slot < ce test.
+        std::vector<u32> ce(len);
+        for (u32 &c : ce)
+            c = f.rng.chance(0.05) ? 0xFFFFFFF0u
+                                   : static_cast<u32>(f.rng.uniformInt(80));
+        BackwardSplatAccum init;
+        Real *init_f[] = {&init.dR,  &init.dG, &init.dB, &init.dDepth,
+                          &init.dOp, &init.sX, &init.sY, &init.sXX,
+                          &init.sXY, &init.sYY};
+        for (Real *x : init_f)
+            *x = f.value(-1, 1);
+
+        auto run = [&](const RowKernels &k, std::vector<Real> &T,
+                       std::vector<Real> &acc) {
+            T = in[0];
+            acc = in[1];
+            std::vector<Real> scratch(2 * n);
+            const BackwardRowState px{T.data(),     acc.data(),
+                                      in[2].data(), in[3].data(),
+                                      in[4].data(), in[5].data(),
+                                      in[6].data(), ce.data()};
+            BackwardSplatAccum a = init;
+            k.backwardRow(g, dy, sx0, n, slot, ctx, px, a,
+                          scratch.data());
+            return a;
+        };
+        std::vector<Real> want_T, want_acc, got_T, got_acc;
+        const BackwardSplatAccum want = run(scalar, want_T, want_acc);
+        const BackwardSplatAccum got = run(avx2, got_T, got_acc);
+
+        const Real want_sums[] = {want.dR,  want.dG, want.dB, want.dDepth,
+                                  want.dOp, want.sX, want.sY, want.sXX,
+                                  want.sXY, want.sYY};
+        const Real got_sums[] = {got.dR,  got.dG, got.dB, got.dDepth,
+                                 got.dOp, got.sX, got.sY, got.sXX,
+                                 got.sXY, got.sYY};
+        for (int c = 0; c < 10; ++c)
+            ASSERT_TRUE(sameBitsOrBothNaN(want_sums[c], got_sums[c]))
+                << "trial " << trial << " sum " << c << ": "
+                << want_sums[c] << " vs " << got_sums[c];
+        for (size_t i = 0; i < len; ++i) {
+            ASSERT_TRUE(sameBitsOrBothNaN(want_T[i], got_T[i]))
+                << "trial " << trial << " T px " << i;
+            ASSERT_TRUE(sameBitsOrBothNaN(want_acc[i], got_acc[i]))
+                << "trial " << trial << " acc px " << i;
+        }
+    }
+}
 
 // ---------------------------------------------------------------------
 // exp contracts over the live power range
