@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet-runtime bench: N concurrent SLAM sessions multiplexed over a
- * shared work-stealing executor, swept across sessions x workers
+ * shared work-stealing thread pool, swept across sessions x workers
  * under bursty frame arrivals. Per cell it records aggregate
  * throughput (frames/s across all sessions), p50/p99 submit-to-
  * completion frame latency, peak RSS, and executor counters (turns,

@@ -52,6 +52,15 @@ struct Fixture
     }
 };
 
+/** The bench's worker pool, sized from the affinity mask like a
+ *  SlamSystem's own: every parallel stage timed here forks onto it. */
+ThreadPool &
+benchPool()
+{
+    static ThreadPool pool;
+    return pool;
+}
+
 Fixture &
 fixtureFor(double spacing)
 {
@@ -76,7 +85,8 @@ BM_Projection(benchmark::State &state)
 {
     Fixture &f = fixtureFor(spacingForRange(state.range(0)));
     for (auto _ : state) {
-        auto proj = gs::projectGaussians(f.cloud, f.camera, f.settings);
+        auto proj = gs::projectGaussians(f.cloud, f.camera, f.settings,
+                                         &benchPool());
         benchmark::DoNotOptimize(proj.items.data());
     }
     state.counters["gaussians"] = static_cast<double>(f.cloud.size());
@@ -86,10 +96,11 @@ void
 BM_TileIntersection(benchmark::State &state)
 {
     Fixture &f = fixtureFor(spacingForRange(state.range(0)));
-    auto proj = gs::projectGaussians(f.cloud, f.camera, f.settings);
+    auto proj = gs::projectGaussians(f.cloud, f.camera, f.settings,
+                                     &benchPool());
     gs::TileGrid grid(320, 240, f.settings.tileSize);
     for (auto _ : state) {
-        auto bins = gs::intersectTiles(proj, grid);
+        auto bins = gs::intersectTiles(proj, grid, &benchPool());
         benchmark::DoNotOptimize(bins.indices.data());
     }
 }
@@ -98,12 +109,13 @@ void
 BM_DepthSort(benchmark::State &state)
 {
     Fixture &f = fixtureFor(spacingForRange(state.range(0)));
-    auto proj = gs::projectGaussians(f.cloud, f.camera, f.settings);
+    auto proj = gs::projectGaussians(f.cloud, f.camera, f.settings,
+                                     &benchPool());
     gs::TileGrid grid(320, 240, f.settings.tileSize);
-    auto bins = gs::intersectTiles(proj, grid);
+    auto bins = gs::intersectTiles(proj, grid, &benchPool());
     for (auto _ : state) {
         auto copy = bins;
-        gs::sortTilesByDepth(copy, proj);
+        gs::sortTilesByDepth(copy, proj, &benchPool());
         benchmark::DoNotOptimize(copy.indices.data());
     }
 }
@@ -113,6 +125,7 @@ BM_ForwardRaster(benchmark::State &state)
 {
     Fixture &f = fixtureFor(spacingForRange(state.range(0)));
     gs::RenderPipeline pipe(f.settings);
+    pipe.setPool(&benchPool());
     for (auto _ : state) {
         auto ctx = pipe.forward(f.cloud, f.camera);
         benchmark::DoNotOptimize(ctx.result.image.data());
@@ -135,6 +148,7 @@ BM_Backward(benchmark::State &state)
 {
     Fixture &f = fixtureFor(spacingForRange(state.range(0)));
     gs::RenderPipeline pipe(f.settings);
+    pipe.setPool(&benchPool());
     auto ctx = pipe.forward(f.cloud, f.camera);
     ImageRGB adj(320, 240, {0.3f, -0.2f, 0.1f});
     gs::BackwardResult back;
@@ -151,6 +165,7 @@ BM_BackwardSeed(benchmark::State &state)
     // golden reference.
     Fixture &f = fixtureFor(spacingForRange(state.range(0)));
     gs::RenderPipeline pipe(f.settings);
+    pipe.setPool(&benchPool());
     auto ctx = pipe.forward(f.cloud, f.camera);
     ImageRGB adj(320, 240, {0.3f, -0.2f, 0.1f});
     for (auto _ : state) {
@@ -185,7 +200,8 @@ BM_StageGrain(benchmark::State &state)
         cloud.compact(keep);
     }
     const gs::ProjectedCloud proj =
-        gs::projectGaussians(cloud, dense.camera, dense.settings);
+        gs::projectGaussians(cloud, dense.camera, dense.settings,
+                             &benchPool());
     const gs::TileGrid grid(320, 240, dense.settings.tileSize);
 
     Rng rng(5);
@@ -203,19 +219,19 @@ BM_StageGrain(benchmark::State &state)
         switch (state.range(0)) {
         case 0: {
             auto p = gs::projectGaussians(cloud, dense.camera,
-                                          dense.settings);
+                                          dense.settings, &benchPool());
             benchmark::DoNotOptimize(p.items.data());
             break;
         }
         case 1: {
-            auto bins = gs::intersectTiles(proj, grid);
+            auto bins = gs::intersectTiles(proj, grid, &benchPool());
             benchmark::DoNotOptimize(bins.indices.data());
             break;
         }
         default: {
             std::vector<u64> k = keys;
             std::vector<u32> v = values;
-            gs::radixSortPairs(k, v, key_bits);
+            gs::radixSortPairs(k, v, key_bits, &benchPool());
             benchmark::DoNotOptimize(v.data());
             break;
         }
@@ -589,6 +605,7 @@ writeComparison()
 
     Fixture &f = fixtureFor(0.22);
     gs::RenderPipeline pipe(f.settings);
+    pipe.setPool(&benchPool());
 
     // Correctness gate: the refactored pipeline must render the same
     // image as the seed path (acceptance: <= 1e-6 per channel).
@@ -703,7 +720,7 @@ writeComparison()
         "  \"rowkernel_fast_speedup\": %.3f,\n"
         "  \"rowkernel_fastest_approx_speedup\": %.3f\n"
         "}\n",
-        f.cloud.size(), globalPool().size() + 1, reps, seed_wall,
+        f.cloud.size(), benchPool().size() + 1, reps, seed_wall,
         rtgs_wall, speedup, seed_cpu, rtgs_cpu, cpu_speedup, diff,
         bseed_wall, brtgs_wall, backward_speedup, bseed_cpu, brtgs_cpu,
         backward_cpu_speedup, grad_diff, seed_vs_gt, rtgs_vs_gt,

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/stats.hh"
+#include "common/thread_pool.hh"
 #include "data/scene.hh"
 #include "gs/render_pipeline.hh"
 #include "image/io.hh"
@@ -29,7 +30,9 @@ main(int argc, char **argv)
 
     gs::RenderSettings settings;
     settings.background = {0.05f, 0.05f, 0.08f};
+    ThreadPool pool; // one worker per usable CPU
     gs::RenderPipeline pipeline(settings);
+    pipeline.setPool(&pool);
 
     Intrinsics intr = Intrinsics::fromFov(1.2f, 480, 320);
     const Vec3f eyes[] = {{1.2f, -0.4f, 0.3f},

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
 
 #include <sched.h>
 
@@ -12,8 +11,12 @@ namespace rtgs
 namespace
 {
 
-/** Pool whose workerLoop the current thread is running, if any. */
-thread_local ThreadPool *tl_current_pool = nullptr;
+/** Which pool (if any) owns the calling thread, and its queue. */
+thread_local ThreadPool *tl_pool = nullptr;
+thread_local size_t tl_worker_index = 0;
+
+/** post()'s "pick the next queue round-robin" marker. */
+constexpr size_t kAnyQueue = ~size_t(0);
 
 /**
  * CPUs the calling thread may run on: its affinity mask, so a process
@@ -35,87 +38,151 @@ usableCpus()
 
 } // namespace
 
-ThreadPool::ThreadPool(size_t num_threads)
+ThreadPool::ThreadPool(size_t num_threads, bool start_paused)
+    : started_(!start_paused)
 {
-    if (num_threads == 0)
-        num_threads = usableCpus();
-    workers_.reserve(num_threads);
-    for (size_t i = 0; i < num_threads; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+    const size_t count = num_threads == 0 ? usableCpus() : num_threads;
+    queues_.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        queues_.push_back(std::make_unique<WorkStealingQueue<Task>>());
+    workers_.reserve(count);
+    for (size_t i = 0; i < count; ++i)
+        workers_.emplace_back([this, i] { workerLoop(i); });
 }
 
 ThreadPool::~ThreadPool()
 {
     {
         MutexLock lock(mutex_);
+        // A paused pool still owes its staged tasks an execution:
+        // releasing the workers lets them drain the queues before the
+        // stop flag retires them (a worker only exits on an
+        // empty-everywhere scan, and stopping_ redirects new posts
+        // inline, so queue contents strictly shrink from here).
+        started_ = true;
         stopping_ = true;
     }
-    cv_.notify_all();
-    for (auto &w : workers_)
-        w.join();
+    wakeCv_.notify_all();
+    for (std::thread &worker : workers_)
+        worker.join();
 }
 
 bool
 ThreadPool::onWorkerThread() const
 {
-    return tl_current_pool == this;
+    return tl_pool == this;
 }
 
 void
-ThreadPool::workerLoop()
-{
-    tl_current_pool = this;
-    for (;;) {
-        std::function<void()> task;
-        {
-            CvLock lock(mutex_);
-            while (!stopping_ && tasks_.empty())
-                lock.wait(cv_);
-            if (stopping_ && tasks_.empty())
-                return;
-            task = std::move(tasks_.front());
-            tasks_.pop();
-        }
-        task();
-    }
-}
-
-void
-ThreadPool::enqueue(std::function<void()> task)
+ThreadPool::start()
 {
     {
         MutexLock lock(mutex_);
-        tasks_.push(std::move(task));
+        started_ = true;
     }
-    cv_.notify_one();
-}
-
-std::future<void>
-ThreadPool::submit(std::function<void()> task)
-{
-    // shared_ptr because std::function requires copyable callables and
-    // packaged_task is move-only.
-    auto packaged = std::make_shared<std::packaged_task<void()>>(
-        std::move(task));
-    std::future<void> future = packaged->get_future();
-    if (workers_.empty()) {
-        // No workers to hand the task to; run it synchronously so the
-        // future is still fulfilled.
-        (*packaged)();
-    } else {
-        enqueue([packaged] { (*packaged)(); });
-    }
-    return future;
+    wakeCv_.notify_all();
 }
 
 void
-ThreadPool::post(std::function<void()> task)
+ThreadPool::post(Task task)
 {
-    if (workers_.empty()) {
-        task();
-        return;
+    postTo(kAnyQueue, std::move(task));
+}
+
+void
+ThreadPool::postTo(size_t queue, Task task)
+{
+    bool queued = false;
+    {
+        MutexLock lock(mutex_);
+        // Teardown fallback: a task posted by a task still running
+        // during shutdown executes on the poster's stack instead of
+        // being lost.
+        if (!stopping_) {
+            if (queue == kAnyQueue) {
+                queue = nextQueue_;
+                nextQueue_ = (nextQueue_ + 1) % queues_.size();
+            }
+            queues_[queue % queues_.size()]->push(std::move(task));
+            ++posted_;
+            ++postVersion_;
+            queued = true;
+        }
     }
-    enqueue(std::move(task));
+    if (queued)
+        wakeCv_.notify_one();
+    else
+        task();
+}
+
+void
+ThreadPool::postLocal(Task task)
+{
+    postTo(tl_pool == this ? tl_worker_index : kAnyQueue, std::move(task));
+}
+
+void
+ThreadPool::drain()
+{
+    CvLock lock(mutex_);
+    while (completed_ != posted_)
+        lock.wait(drainCv_);
+}
+
+size_t
+ThreadPool::steals() const
+{
+    MutexLock lock(mutex_);
+    return static_cast<size_t>(steals_);
+}
+
+bool
+ThreadPool::takeTask(size_t self, Task &out)
+{
+    if (queues_[self]->pop(out))
+        return true;
+    for (size_t k = 1; k < queues_.size(); ++k) {
+        size_t victim = (self + k) % queues_.size();
+        if (queues_[victim]->steal(out)) {
+            MutexLock lock(mutex_);
+            ++steals_;
+            return true;
+        }
+    }
+    return false;
+}
+
+void
+ThreadPool::workerLoop(size_t self)
+{
+    tl_pool = this;
+    tl_worker_index = self;
+    for (;;) {
+        u64 seen = 0;
+        {
+            CvLock lock(mutex_);
+            while (!started_)
+                lock.wait(wakeCv_);
+            // Read the version BEFORE scanning: a post that lands
+            // after an unsuccessful scan necessarily bumps the version
+            // past `seen`, so the sleep check below cannot miss it.
+            seen = postVersion_;
+        }
+        Task task;
+        if (takeTask(self, task)) {
+            task();
+            task = nullptr; // release captures before signalling
+            MutexLock lock(mutex_);
+            if (++completed_ == posted_)
+                drainCv_.notify_all();
+            continue;
+        }
+        CvLock lock(mutex_);
+        if (stopping_)
+            return; // all queues empty and no new pushes can arrive
+        while (postVersion_ == seen && !stopping_)
+            lock.wait(wakeCv_);
+    }
 }
 
 size_t
@@ -141,7 +208,7 @@ ThreadPool::parallelForChunks(size_t begin, size_t end,
     // A worker calling parallelFor must not block on chunks that only
     // workers can drain (it *is* the drain); run the range inline. So
     // does a range too small to pay for a fork-join.
-    if (chunks == 1 || workers_.empty() || onWorkerThread()) {
+    if (chunks == 1 || onWorkerThread()) {
         fn(begin, end);
         return;
     }
@@ -158,7 +225,7 @@ ThreadPool::parallelForChunks(size_t begin, size_t end,
         size_t begin = 0, end = 0, chunks = 0, chunk_size = 0;
         const std::function<void(size_t, size_t)> *fn = nullptr;
     };
-    // Shared ownership: helper tasks may be popped from the queue after
+    // Shared ownership: helper tasks may be popped from a queue after
     // the caller has already returned (all chunks claimed); they must
     // still be able to read `next` safely.
     auto state = std::make_shared<State>();
@@ -185,7 +252,7 @@ ThreadPool::parallelForChunks(size_t begin, size_t end,
 
     size_t helpers = std::min(workers_.size(), chunks - 1);
     for (size_t h = 0; h < helpers; ++h)
-        enqueue([state, drain] { drain(*state); });
+        post([state, drain] { drain(*state); });
 
     drain(*state);
 
@@ -203,13 +270,6 @@ ThreadPool::parallelFor(size_t begin, size_t end,
         for (size_t i = lo; i < hi; ++i)
             fn(i);
     });
-}
-
-ThreadPool &
-globalPool()
-{
-    static ThreadPool pool;
-    return pool;
 }
 
 } // namespace rtgs

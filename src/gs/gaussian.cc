@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 
 namespace rtgs::gs
 {
@@ -14,23 +13,11 @@ namespace detail
 {
 
 void
-parallelCopyBytes(void *dst, const void *src, size_t bytes)
+copyBytes(void *dst, const void *src, size_t bytes)
 {
     if (bytes == 0)
         return; // empty columns have null data(); memcpy(null) is UB
-    // Below this size the parallelFor dispatch costs more than the copy.
-    constexpr size_t parallelThreshold = size_t(1) << 20;
-    if (bytes < parallelThreshold || globalPool().size() <= 1) {
-        std::memcpy(dst, src, bytes);
-        return;
-    }
-    auto *d = static_cast<char *>(dst);
-    const auto *s = static_cast<const char *>(src);
-    globalPool().parallelForChunks(0, bytes,
-                                   [d, s](size_t lo, size_t hi) {
-                                       std::memcpy(d + lo, s + lo,
-                                                   hi - lo);
-                                   });
+    std::memcpy(dst, src, bytes);
 }
 
 } // namespace detail

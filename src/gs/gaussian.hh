@@ -67,8 +67,8 @@ columnPrecisionName(ColumnPrecision p)
 
 namespace detail
 {
-/** Chunk-parallel buffer copy for large column re-materialisation. */
-void parallelCopyBytes(void *dst, const void *src, size_t bytes);
+/** memcpy that tolerates the null data() of an empty column. */
+void copyBytes(void *dst, const void *src, size_t bytes);
 
 /**
  * How many fp32 lanes a column element packs into 16-bit scalars.
@@ -499,8 +499,8 @@ class CowColumn
             return;
         auto fresh = std::make_shared<Storage>();
         fresh->resize(data_->size()); // default-init: no zero-fill
-        detail::parallelCopyBytes(fresh->data(), data_->data(),
-                                  data_->size() * sizeof(T));
+        detail::copyBytes(fresh->data(), data_->data(),
+                          data_->size() * sizeof(T));
         data_ = std::move(fresh);
     }
 
@@ -511,8 +511,8 @@ class CowColumn
             return;
         auto fresh = std::make_shared<PackedStorage>();
         fresh->resize(packed_->size());
-        detail::parallelCopyBytes(fresh->data(), packed_->data(),
-                                  packed_->size() * sizeof(u16));
+        detail::copyBytes(fresh->data(), packed_->data(),
+                          packed_->size() * sizeof(u16));
         packed_ = std::move(fresh);
     }
 

@@ -73,7 +73,7 @@ clampedCamPoint(const Intrinsics &intr, const Vec3f &t, bool &clamped_x,
 
 ProjectedCloud
 projectGaussians(const GaussianCloud &cloud, const Camera &camera,
-                 const RenderSettings &settings)
+                 const RenderSettings &settings, ThreadPool *pool)
 {
     ProjectedCloud out;
     out.items.resize(cloud.size());
@@ -97,8 +97,8 @@ projectGaussians(const GaussianCloud &cloud, const Camera &camera,
 
     // Each Gaussian writes only its own AoS record and SoA slots, so the
     // loop is embarrassingly parallel and deterministic.
-    globalPool().parallelForChunks(
-        0, cloud.size(), [&](size_t lo, size_t hi) {
+    parallelForChunks(
+        pool, 0, cloud.size(), [&](size_t lo, size_t hi) {
         for (size_t k = lo; k < hi; ++k) {
             Projected2D &p = out.items[k];
             out.soa.powerSkip[k] = inf; // culled entries skip everything

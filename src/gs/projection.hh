@@ -14,6 +14,11 @@
 #include "gs/gaussian.hh"
 #include "gs/pipeline_config.hh"
 
+namespace rtgs
+{
+class ThreadPool;
+}
+
 namespace rtgs::gs
 {
 
@@ -115,13 +120,14 @@ inline constexpr size_t kProjectGrain = 4096;
 /**
  * Project all active Gaussians through the camera, in parallel over
  * Gaussians (each writes only its own record, so the result is
- * deterministic; clouds of at most kProjectGrain run inline). Masked
- * or culled Gaussians produce entries with valid = false so indices
- * stay aligned with the cloud.
+ * deterministic; clouds of at most kProjectGrain, or a null `pool`,
+ * run inline). Masked or culled Gaussians produce entries with
+ * valid = false so indices stay aligned with the cloud.
  */
 ProjectedCloud projectGaussians(const GaussianCloud &cloud,
                                 const Camera &camera,
-                                const RenderSettings &settings);
+                                const RenderSettings &settings,
+                                ThreadPool *pool = nullptr);
 
 /**
  * Frustum-clamped camera point used for the EWA covariance Jacobian.

@@ -1,6 +1,9 @@
 #include "gs/render_pipeline.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <exception>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
@@ -34,18 +37,57 @@ struct RenderPipeline::BackwardScratch
     std::vector<Twist> poseBlocks;        //!< per-block pose partials
 };
 
-/** Completion slot for a pool-deferred forward pass. */
+/**
+ * A deferred forward pass, run exactly once by whoever claims it first:
+ * the pool worker that dequeues its task, or AsyncForward::take().
+ */
 struct AsyncForward::State
 {
+    const RenderPipeline *pipeline = nullptr;
+    GaussianCloud cloud; //!< COW capture; released once the pass ran
+    Camera camera;
+    std::atomic<bool> claimed{false};
+
+    /** Written by the claimant before it sets `done`. */
     ForwardContext context;
+    std::exception_ptr error;
+
+    Mutex mutex;
+    std::condition_variable cv;
+    bool done RTGS_GUARDED_BY(mutex) = false;
+
+    /** Run the pass unless another thread already claimed it; true
+     *  when this call ran it. */
+    bool
+    runIfUnclaimed()
+    {
+        if (claimed.exchange(true))
+            return false;
+        try {
+            context = pipeline->forward(cloud, camera);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        cloud = GaussianCloud();
+        MutexLock lock(mutex);
+        done = true;
+        cv.notify_all();
+        return true;
+    }
 };
 
 ForwardContext
 AsyncForward::take()
 {
-    if (pending_.valid())
-        pending_.get(); // propagates any exception from the pass
-    return std::move(state_->context);
+    State &s = *state_;
+    if (!s.runIfUnclaimed()) {
+        CvLock lock(s.mutex);
+        while (!s.done)
+            lock.wait(s.cv);
+    }
+    if (s.error)
+        std::rethrow_exception(s.error);
+    return std::move(s.context);
 }
 
 RenderPipeline::RenderPipeline(const RenderSettings &settings)
@@ -66,12 +108,6 @@ RenderPipeline::operator=(const RenderPipeline &other)
     settings_ = other.settings_;
     pool_ = other.pool_;
     return *this;
-}
-
-ThreadPool &
-RenderPipeline::pool() const
-{
-    return pool_ ? *pool_ : globalPool();
 }
 
 std::unique_ptr<RenderPipeline::BackwardScratch>
@@ -118,13 +154,13 @@ RenderPipeline::forward(const GaussianCloud &cloud,
     ctx.camera = camera;
     ctx.grid = TileGrid(camera.intr.width, camera.intr.height,
                         settings_.tileSize);
-    ctx.projected = projectGaussians(cloud, camera, settings_);
-    ctx.bins = intersectTiles(ctx.projected, ctx.grid);
-    sortTilesByDepth(ctx.bins, ctx.projected);
+    ctx.projected = projectGaussians(cloud, camera, settings_, pool_);
+    ctx.bins = intersectTiles(ctx.projected, ctx.grid, pool_);
+    sortTilesByDepth(ctx.bins, ctx.projected, pool_);
 
     ctx.result = makeRenderResult(ctx.grid);
-    pool().parallelForChunks(
-        0, ctx.grid.tileCount(), [&](size_t lo, size_t hi) {
+    parallelForChunks(
+        pool_, 0, ctx.grid.tileCount(), [&](size_t lo, size_t hi) {
             for (size_t t = lo; t < hi; ++t)
                 rasterizeTile(static_cast<u32>(t), ctx.projected,
                               ctx.bins, ctx.grid, settings_, ctx.result);
@@ -136,22 +172,16 @@ AsyncForward
 RenderPipeline::forwardAsync(const GaussianCloud &cloud,
                              const Camera &camera) const
 {
+    auto state = std::make_shared<AsyncForward::State>();
+    state->pipeline = this;
+    state->cloud = cloud;
+    state->camera = camera;
+    // The task only races take() for the claim; a stale task that lost
+    // it touches nothing but the shared state.
+    if (pool_)
+        pool_->post([state] { state->runIfUnclaimed(); });
     AsyncForward handle;
-    handle.state_ = std::make_shared<AsyncForward::State>();
-
-    // Deferring is only useful (and only safe against a take() that
-    // nothing can unblock) when a worker other than the caller exists
-    // to run the pass: a pool-resident caller needs a second worker.
-    ThreadPool &p = pool();
-    size_t needed = p.onWorkerThread() ? 2 : 1;
-    if (p.size() >= needed) {
-        auto state = handle.state_;
-        handle.pending_ = p.submit([this, state, cloud, camera] {
-            state->context = forward(cloud, camera);
-        });
-    } else {
-        handle.state_->context = forward(cloud, camera);
-    }
+    handle.state_ = std::move(state);
     return handle;
 }
 
@@ -162,7 +192,6 @@ RenderPipeline::backward(const GaussianCloud &cloud,
                          const ImageF *dl_ddepth, bool compute_pose_grad,
                          BackwardResult &out) const
 {
-    ThreadPool &pool = this->pool();
     std::unique_ptr<BackwardScratch> scratch = acquireScratch();
     const size_t n = cloud.size();
 
@@ -171,8 +200,8 @@ RenderPipeline::backward(const GaussianCloud &cloud,
     // per worker. parallelForChunks handles the degenerate shapes
     // (1 tile, tiles < workers) that hand-rolled chunk math got wrong.
     scratch->records.resize(ctx.bins.indices.size());
-    pool.parallelForChunks(
-        0, ctx.grid.tileCount(), [&](size_t lo, size_t hi) {
+    parallelForChunks(
+        pool_, 0, ctx.grid.tileCount(), [&](size_t lo, size_t hi) {
             for (size_t t = lo; t < hi; ++t)
                 backwardTileSplatMajor(static_cast<u32>(t), ctx.projected,
                                        ctx.bins, ctx.grid, settings_,
@@ -192,7 +221,7 @@ RenderPipeline::backward(const GaussianCloud &cloud,
     out.grads.resize(n);
     const size_t nblocks = (n + kPoseBlock - 1) / kPoseBlock;
     scratch->poseBlocks.assign(nblocks, Twist{});
-    pool.parallelForChunks(0, nblocks, [&](size_t blo, size_t bhi) {
+    parallelForChunks(pool_, 0, nblocks, [&](size_t blo, size_t bhi) {
         for (size_t b = blo; b < bhi; ++b) {
             size_t k0 = b * kPoseBlock;
             size_t k1 = std::min(n, k0 + kPoseBlock);
@@ -236,7 +265,7 @@ RenderPipeline::accumulateBackward(BackwardResult &sum,
     // fixed regardless of how chunks were scheduled across workers.
     // The lane lists live with the gradient structs (accumulateRange)
     // so a new lane cannot be missed here.
-    pool().parallelForChunks(0, n, [&](size_t lo, size_t hi) {
+    parallelForChunks(pool_, 0, n, [&](size_t lo, size_t hi) {
         sum.grads.accumulateRange(view.grads, lo, hi);
         sum.grad2d.accumulateRange(view.grad2d, lo, hi);
     });
@@ -248,8 +277,8 @@ RenderPipeline::scaleBackward(BackwardResult &sum, Real s) const
 {
     if (s == Real(1))
         return;
-    pool().parallelForChunks(0, sum.grads.size(),
-                             [&](size_t lo, size_t hi) {
+    parallelForChunks(pool_, 0, sum.grads.size(),
+                      [&](size_t lo, size_t hi) {
         sum.grads.scaleRange(s, lo, hi);
         sum.grad2d.scaleRange(s, lo, hi);
     });

@@ -9,7 +9,6 @@
 #ifndef RTGS_GS_RENDER_PIPELINE_HH
 #define RTGS_GS_RENDER_PIPELINE_HH
 
-#include <future>
 #include <memory>
 #include <vector>
 
@@ -67,25 +66,28 @@ struct ForwardContext
 
 /**
  * A forward pass that may still be executing on the thread pool.
- * Returned by RenderPipeline::forwardAsync; take() blocks until the
- * pass has finished and yields its ForwardContext. The handle owns a
- * copy-on-write copy of the cloud it renders, so the caller's cloud
- * handle may be mutated (or destroyed) while the pass is in flight.
+ * Returned by RenderPipeline::forwardAsync; take() yields its
+ * ForwardContext. The handle owns a copy-on-write copy of the cloud it
+ * renders, so the caller's cloud handle may be mutated (or destroyed)
+ * while the pass is in flight.
  */
 class AsyncForward
 {
   public:
     AsyncForward() = default;
 
-    /** Block until the forward pass finishes; yields its context. */
+    /**
+     * Yield the pass's context. A pass no worker has started yet is
+     * claimed and run on the calling thread, so take() never waits on
+     * a queue position — only on a pass already running elsewhere.
+     * Exceptions thrown by the pass propagate from here.
+     */
     ForwardContext take();
 
   private:
     friend class RenderPipeline;
     struct State;
     std::shared_ptr<State> state_;
-    /** Valid only when the pass was deferred to the pool. */
-    std::future<void> pending_;
 };
 
 /**
@@ -109,9 +111,10 @@ class RenderPipeline
     RenderSettings &settings() { return settings_; }
 
     /**
-     * Thread pool override, mainly for tests that pin a worker count;
-     * nullptr (the default) selects the process-wide globalPool(). All
-     * pipeline outputs are bitwise independent of the pool size.
+     * The pool every stage forks onto (projection, binning, sort,
+     * raster, backward, multi-view reductions); nullptr (the default)
+     * runs every stage inline on the caller. Non-owning. All pipeline
+     * outputs are bitwise independent of the pool and its size.
      */
     void setPool(ThreadPool *pool) { pool_ = pool; }
 
@@ -120,16 +123,15 @@ class RenderPipeline
                            const Camera &camera) const;
 
     /**
-     * Multi-target forward: start Steps 1-3 for one view on the pool
+     * Multi-target forward: post Steps 1-3 for one view to the pool
      * while the caller keeps working (a multi-view mapping step
      * overlaps view v+1's forward with view v's backward this way).
-     * The pass runs on a pool worker when one can make progress
-     * (another worker exists besides a pool-resident caller) and
-     * inline otherwise, so take() never deadlocks; either way the
-     * result is bitwise identical to forward() — all pipeline outputs
-     * are pool-size independent. The cloud is captured by COW copy
-     * (O(columns)), so the caller may mutate its own handle before
-     * take().
+     * Whoever claims the pass first runs it: a free worker, or the
+     * caller's take() when no worker has started it (always, without
+     * a pool) — so take() never deadlocks behind busy workers. Either
+     * way the result is bitwise identical to forward(). The cloud is
+     * captured by COW copy (O(columns)), so the caller may mutate its
+     * own handle before take().
      */
     AsyncForward forwardAsync(const GaussianCloud &cloud,
                               const Camera &camera) const;
@@ -176,7 +178,6 @@ class RenderPipeline
   private:
     struct BackwardScratch;
 
-    ThreadPool &pool() const;
     std::unique_ptr<BackwardScratch> acquireScratch() const;
     void releaseScratch(std::unique_ptr<BackwardScratch> scratch) const;
 

@@ -31,15 +31,14 @@ bitsFor(u64 v)
 
 void
 radixSortPairs(std::vector<u64> &keys, std::vector<u32> &values,
-               u32 bits_used)
+               u32 bits_used, ThreadPool *pool)
 {
     rtgs_assert(keys.size() == values.size());
     const size_t n = keys.size();
     if (n < 2)
         return;
 
-    ThreadPool &pool = globalPool();
-    const size_t nchunks = pool.chunkCount(n, kSortGrain);
+    const size_t nchunks = chunkCount(pool, n, kSortGrain);
     const size_t chunk = (n + nchunks - 1) / nchunks;
 
     std::vector<u64> keys_tmp(n);
@@ -52,7 +51,7 @@ radixSortPairs(std::vector<u64> &keys, std::vector<u32> &values,
 
     for (u32 shift = 0; shift < bits_used; shift += kRadixBits) {
         // Histogram this digit, one bucket table per chunk.
-        pool.parallelFor(0, nchunks, [&](size_t c) {
+        parallelFor(pool, 0, nchunks, [&](size_t c) {
             std::array<u32, kBuckets> &h = hist[c];
             h.fill(0);
             size_t lo = c * chunk, hi = std::min(n, lo + chunk);
@@ -82,7 +81,7 @@ radixSortPairs(std::vector<u64> &keys, std::vector<u32> &values,
             }
         }
 
-        pool.parallelFor(0, nchunks, [&](size_t c) {
+        parallelFor(pool, 0, nchunks, [&](size_t c) {
             std::array<u32, kBuckets> &cursor = hist[c];
             size_t lo = c * chunk, hi = std::min(n, lo + chunk);
             for (size_t i = lo; i < hi; ++i) {
@@ -104,7 +103,8 @@ radixSortPairs(std::vector<u64> &keys, std::vector<u32> &values,
 }
 
 void
-sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected)
+sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected,
+                 ThreadPool *pool)
 {
     if (bins.indices.size() < 2)
         return;
@@ -119,17 +119,16 @@ sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected)
                 bins.keys[i] =
                     packTileDepthKey(t, projected[bins.indices[i]].depth);
     };
-    ThreadPool &pool = globalPool();
-    if (pool.chunkCount(bins.indices.size(), kSortGrain) == 1)
+    if (chunkCount(pool, bins.indices.size(), kSortGrain) == 1)
         fill(0, bins.tiles); // the sort below runs inline too
     else
-        pool.parallelForChunks(0, bins.tiles, fill);
+        pool->parallelForChunks(0, bins.tiles, fill);
 
     // Depth occupies the low 32 bits; the tile id needs bitsFor(tiles-1)
     // more. Tile grouping already matches the key order, so the sort
     // leaves offsets valid.
     u32 bits_used = 32 + bitsFor(bins.tiles > 0 ? bins.tiles - 1 : 0);
-    radixSortPairs(bins.keys, bins.indices, bits_used);
+    radixSortPairs(bins.keys, bins.indices, bits_used, pool);
 }
 
 bool

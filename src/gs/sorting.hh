@@ -20,8 +20,10 @@
 namespace rtgs::gs
 {
 
-/** Sort every tile range in place by ascending depth (stable). */
-void sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected);
+/** Sort every tile range in place by ascending depth (stable), on
+ *  `pool` (inline when null). */
+void sortTilesByDepth(TileBins &bins, const ProjectedCloud &projected,
+                      ThreadPool *pool = nullptr);
 
 /** True if every tile range is in non-decreasing depth order. */
 bool tilesAreDepthSorted(const TileBins &bins,
@@ -40,12 +42,12 @@ inline constexpr size_t kSortGrain = 262144;
 
 /**
  * Stable LSD radix sort of (key, value) pairs by key, in parallel
- * 8-bit-digit passes (inline up to kSortGrain keys). Only digits below
- * bits_used are processed, and passes whose digit is constant across
- * all keys are skipped.
+ * 8-bit-digit passes on `pool` (inline up to kSortGrain keys, or when
+ * `pool` is null). Only digits below bits_used are processed, and
+ * passes whose digit is constant across all keys are skipped.
  */
 void radixSortPairs(std::vector<u64> &keys, std::vector<u32> &values,
-                    u32 bits_used);
+                    u32 bits_used, ThreadPool *pool = nullptr);
 
 } // namespace rtgs::gs
 

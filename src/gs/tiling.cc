@@ -67,7 +67,8 @@ footprintRect(const Projected2D &p, const TileGrid &grid)
 } // namespace
 
 TileBins
-intersectTiles(const ProjectedCloud &projected, const TileGrid &grid)
+intersectTiles(const ProjectedCloud &projected, const TileGrid &grid,
+               ThreadPool *pool)
 {
     TileBins bins;
     bins.tiles = grid.tileCount();
@@ -77,12 +78,11 @@ intersectTiles(const ProjectedCloud &projected, const TileGrid &grid)
     if (n == 0 || bins.tiles == 0)
         return bins;
 
-    ThreadPool &pool = globalPool();
     // Fixed chunk boundaries (independent of pool scheduling) make the
     // scatter stable: chunk c's slice of each tile's range starts right
     // after the slices of chunks 0..c-1, so ids land in ascending
     // Gaussian order no matter which thread runs which chunk.
-    const size_t nchunks = pool.chunkCount(n, kBinGrain);
+    const size_t nchunks = chunkCount(pool, n, kBinGrain);
     const size_t chunk = (n + nchunks - 1) / nchunks;
 
     std::vector<FootprintRect> rects(n);
@@ -90,7 +90,7 @@ intersectTiles(const ProjectedCloud &projected, const TileGrid &grid)
         nchunks, std::vector<u32>(bins.tiles, 0));
 
     // Pass 1 (parallel over Gaussians): footprint rect + per-tile counts.
-    pool.parallelFor(0, nchunks, [&](size_t c) {
+    parallelFor(pool, 0, nchunks, [&](size_t c) {
         size_t lo = c * chunk;
         size_t hi = std::min(n, lo + chunk);
         std::vector<u32> &h = hist[c];
@@ -124,7 +124,7 @@ intersectTiles(const ProjectedCloud &projected, const TileGrid &grid)
     // Pass 2 (parallel over Gaussians): scatter ids into tile ranges.
     // Sort keys are derived later by sortTilesByDepth, always from the
     // depths current at sort time.
-    pool.parallelFor(0, nchunks, [&](size_t c) {
+    parallelFor(pool, 0, nchunks, [&](size_t c) {
         size_t lo = c * chunk;
         size_t hi = std::min(n, lo + chunk);
         std::vector<u32> &cursor = hist[c];

@@ -103,12 +103,13 @@ inline constexpr size_t kBinGrain = 16384;
 
 /**
  * Assign each valid projected Gaussian to all tiles it overlaps.
- * Parallel over Gaussians (inline up to kBinGrain of them); the
- * scatter is stable, so each tile's range lists ids in ascending
- * Gaussian order (the order the old per-tile push_back loop produced).
+ * Parallel over Gaussians on `pool` (inline up to kBinGrain of them,
+ * or when `pool` is null); the scatter is stable, so each tile's range
+ * lists ids in ascending Gaussian order (the order the old per-tile
+ * push_back loop produced).
  */
 TileBins intersectTiles(const ProjectedCloud &projected,
-                        const TileGrid &grid);
+                        const TileGrid &grid, ThreadPool *pool = nullptr);
 
 } // namespace rtgs::gs
 

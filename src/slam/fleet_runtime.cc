@@ -18,8 +18,7 @@ constexpr double kFleetMapWatchdogSeconds = 0.5;
 
 FleetRuntime::FleetRuntime(const FleetConfig &config)
     : config_(config),
-      executor_(config.workers == 0 ? 1 : config.workers,
-                config.startPaused)
+      pool_(std::max<size_t>(1, config.workers), config.startPaused)
 {
 }
 
@@ -27,7 +26,7 @@ FleetRuntime::~FleetRuntime()
 {
     // A paused fleet still owes its staged frames an execution; the
     // graceful closes below wait on turns, which need live workers.
-    executor_.start();
+    pool_.start();
     std::vector<SessionId> open;
     {
         MutexLock lock(mutex_);
@@ -38,14 +37,13 @@ FleetRuntime::~FleetRuntime()
     for (SessionId id : open)
         closeSession(id, /*discard_pending=*/false);
     // Members destroy in reverse order: sessions_ (and their
-    // MapWorkers, already drained by the closes) first, executor_
-    // last.
+    // MapWorkers, already drained by the closes) first, pool_ last.
 }
 
 void
 FleetRuntime::start()
 {
-    executor_.start();
+    pool_.start();
 }
 
 AdmitDecision
@@ -56,8 +54,8 @@ FleetRuntime::openSession(const FleetSessionConfig &config,
     FleetSessionConfig cfg = config;
     cfg.weight = std::max<u32>(1, cfg.weight);
     cfg.frameQueueDepth = std::max<size_t>(1, cfg.frameQueueDepth);
-    // Mapping drains share the fleet's threads.
-    cfg.slam.mapExecutor = &executor_;
+    // Turns, map drains and render fork-joins share the fleet's threads.
+    cfg.slam.pool = &pool_;
     if (cfg.slam.mapQueueDepth > 0 &&
         cfg.slam.mapOverflowPolicy == OverflowPolicy::Block &&
         cfg.slam.mapWatchdogSeconds <= 0) {
@@ -112,7 +110,7 @@ FleetRuntime::scheduleTurnLocked(Session &session)
     // current worker's queue (behind every other session's waiting
     // turn — that is the round-robin); submit-side schedules
     // round-robin across queues.
-    executor_.postLocal([this, id] { runTurn(id); });
+    pool_.postLocal([this, id] { runTurn(id); });
 }
 
 bool

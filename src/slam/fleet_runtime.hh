@@ -1,22 +1,22 @@
 /**
  * @file
  * Multi-session fleet runtime: N independent SlamSystem sessions
- * served by ONE shared work-stealing executor (fleet_executor.hh),
- * with per-session bounded backpressure, weighted-round-robin
- * fairness, admission control, and clean per-session teardown. This
- * is the ROADMAP's production-scale serving direction: PR 2's stage
- * graph made a session's frame step an explicit schedulable unit and
- * PR 4's O(1) COW snapshots made per-session maps cheap, so sessions
- * multiplex over a fixed thread set instead of owning pools.
+ * served by ONE work-stealing ThreadPool (common/thread_pool.hh) that
+ * the runtime owns and injects into every session, with per-session
+ * bounded backpressure, weighted-round-robin fairness, admission
+ * control, and clean per-session teardown. The stage graph made a
+ * session's frame step an explicit schedulable unit and O(1) COW
+ * snapshots made per-session maps cheap, so sessions multiplex over
+ * one fixed thread set instead of owning pools.
  *
  * Scheduling model — session "turns":
  *  - Each session owns a bounded frame queue (frameQueueDepth).
  *    submitFrame() blocks while it is full (backpressure);
  *    trySubmitFrame() fails instead.
- *  - A turn is one executor task that processes up to `weight` queued
+ *  - A turn is one pool task that processes up to `weight` queued
  *    frames of one session in order, then — if frames remain —
  *    requeues itself at the BACK of the current worker's queue. With
- *    the executor's oldest-first dequeue discipline this yields
+ *    the pool's oldest-first dequeue discipline this yields
  *    weighted round-robin: under a burst from one session, everyone
  *    else's turns still drain in arrival order, so per-session
  *    latency stays bounded by the fleet's total weight, not by the
@@ -43,9 +43,15 @@
  * (frames may be staged against a waiting session but no turns run
  * until a close promotes it); beyond that openSession() rejects.
  *
- * Mapping: each session's async MapWorker (when configured) drains on
- * THIS executor too (SlamConfig::mapExecutor is overridden at
- * admission), so tracking and mapping share the same threads.
+ * One thread set: openSession() points SlamConfig::pool at the fleet's
+ * pool, so a session's async MapWorker drains on it too, and its render
+ * fork-joins (projection, binning, sort, raster, backward) run inline
+ * on the worker executing the turn or drain — the pool's nested-call
+ * rule. Multi-view forward passes a drain posts are claimed by a free
+ * worker or run by the drain itself (AsyncForward::take), so a drain
+ * never waits behind another session's turn. Quantum-bounded turns
+ * (a turn requeues itself after `weight` frames) keep any posted
+ * drain from starving behind an unbounded task.
  * Deadlock guard: a Block-policy map queue with no watchdog could
  * park a worker inside enqueue() while the drain that would free it
  * waits behind that very worker; openSession() forces a watchdog on
@@ -65,7 +71,7 @@
 
 #include "common/annotations.hh"
 #include "common/mutex.hh"
-#include "slam/fleet_executor.hh"
+#include "common/thread_pool.hh"
 #include "slam/pipeline.hh"
 #include "slam/profiler.hh"
 
@@ -75,7 +81,7 @@ namespace rtgs::slam
 /** Fleet-wide configuration. */
 struct FleetConfig
 {
-    /** Executor worker threads shared by every session. */
+    /** Pool worker threads shared by every session (0 is taken as 1). */
     size_t workers = 2;
     /** Admission capacity: sessions schedulable at once. */
     size_t maxActiveSessions = 4;
@@ -135,7 +141,7 @@ struct FleetSessionStats
  * closeSession() — session objects live until the runtime is
  * destroyed, so closed sessions stay readable. The destructor
  * gracefully closes every remaining session (processing what was
- * already submitted), then retires the executor.
+ * already submitted), then retires the pool.
  */
 class FleetRuntime
 {
@@ -155,8 +161,8 @@ class FleetRuntime
     /**
      * Admit, queue, or reject a new session. On Admitted/Queued,
      * `id_out` names the session; on Rejected it is kInvalidSession.
-     * The session's SlamConfig is copied with mapExecutor pointed at
-     * the fleet executor and (Block-policy async configs only) a
+     * The session's SlamConfig is copied with its pool pointed at the
+     * fleet's pool and (Block-policy async configs only) a
      * watchdog forced — see the deadlock guard in the file comment.
      */
     AdmitDecision openSession(const FleetSessionConfig &config,
@@ -216,8 +222,8 @@ class FleetRuntime
     /** Sessions waiting in the admission queue. */
     size_t queuedSessions() const;
 
-    /** The shared executor (observability: steals, task counts). */
-    FleetExecutor &executor() { return executor_; }
+    /** The shared pool (observability: steals, task counts). */
+    ThreadPool &executor() { return pool_; }
 
     /**
      * Global frame-completion order: (session, frameIndex) appended
@@ -268,14 +274,14 @@ class FleetRuntime
     FleetConfig config_;
     /** Declared before the session map: destroyed after it, so any
      *  straggler interaction during session teardown still finds a
-     *  live executor (the destructor quiesces everything first
-     *  anyway). Internally synchronized. */
-    FleetExecutor executor_;
+     *  live pool (the destructor quiesces everything first anyway).
+     *  Internally synchronized. */
+    ThreadPool pool_;
 
     /** Guards all scheduler state below and every Session field (see
      *  Session). Held only for queue/flag/stats manipulation — never
-     *  across processFrame, waitForMapping, or an executor task body.
-     *  Lock order: mutex_ before the executor's internal mutex (posts
+     *  across processFrame, waitForMapping, or a pool task body.
+     *  Lock order: mutex_ before the pool's internal mutex (posts
      *  happen under mutex_); SlamSystem's internal locks are only
      *  taken WITHOUT mutex_ held. */
     mutable Mutex mutex_;

@@ -1,6 +1,5 @@
 #include "slam/map_worker.hh"
 
-#include "common/executor.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -8,12 +7,12 @@ namespace rtgs::slam
 {
 
 MapWorker::MapWorker(size_t queue_depth, size_t batch_size, RunFn run,
-                     OverflowPolicy policy, double watchdog_seconds,
-                     DropFn on_drop, Executor *executor)
+                     ThreadPool &pool, OverflowPolicy policy,
+                     double watchdog_seconds, DropFn on_drop)
     : queue_(queue_depth), batchSize_(batch_size == 0 ? 1 : batch_size),
       run_(std::move(run)), policy_(policy),
       watchdogSeconds_(watchdog_seconds), onDrop_(std::move(on_drop)),
-      executor_(executor ? executor : &globalPool())
+      pool_(pool)
 {
 }
 
@@ -82,7 +81,7 @@ MapWorker::enqueue(MapJob job)
         }
     }
     if (spawn)
-        executor_->post([this] { drainLoop(); });
+        pool_.post([this] { drainLoop(); });
 }
 
 void

@@ -1,9 +1,9 @@
 /**
  * @file
  * The enqueue-map stage: a bounded keyframe work queue whose jobs run
- * asynchronously on the shared ThreadPool, overlapping mapping with the
- * tracking of subsequent frames (the loop-level restructuring CaRtGS /
- * RTG-SLAM use to reach real time).
+ * asynchronously on the owning system's ThreadPool, overlapping mapping
+ * with the tracking of subsequent frames (the loop-level restructuring
+ * CaRtGS / RTG-SLAM use to reach real time).
  *
  * Threading model:
  *  - The frame loop (producer) pushes one MapJob per keyframe; when
@@ -14,7 +14,7 @@
  *  - At most ONE drain task exists at a time: it loops, popping up to
  *    `batch_size` queued jobs per iteration and running them as one
  *    batch, until the queue is empty, then retires. A push that finds
- *    no active drainer spawns one on the ThreadPool. Jobs run strictly
+ *    no active drainer posts one to the pool. Jobs run strictly
  *    FIFO (within and across batches), and no pool worker ever parks
  *    waiting for another job to finish (tracking's parallelFor keeps
  *    its workers).
@@ -22,11 +22,12 @@
  *    snapshot publication, scratch-arena checkout) across keyframe
  *    bursts: when several keyframes are queued — rotation onset, a new
  *    room — they drain as one batch instead of FIFO-serially.
- *  - A batch's multi-view mapping steps (multiViewWindow >= 2) fan
- *    per-view forward passes back onto the pool from the drain task;
- *    RenderPipeline::forwardAsync runs them inline instead whenever no
- *    worker besides the drain task itself could pick them up, so the
- *    drain never parks behind work only it could execute.
+ *  - The drain task runs on a pool worker, so the render fork-joins
+ *    inside it run inline (the pool's nested-call rule). A batch's
+ *    multi-view mapping steps (multiViewWindow >= 2) post per-view
+ *    forward passes back to the pool; AsyncForward::take() runs any
+ *    pass no other worker has started yet itself, so the drain never
+ *    parks behind a busy worker — in a fleet, another session's turn.
  *  - drain() blocks until every enqueued job has finished; the
  *    destructor drains implicitly.
  */
@@ -47,7 +48,7 @@
 
 namespace rtgs
 {
-class Executor;
+class ThreadPool;
 }
 
 namespace rtgs::slam
@@ -92,22 +93,20 @@ class MapWorker
      *                    engages (>= 1)
      * @param batch_size  max jobs popped per drain iteration (>= 1)
      * @param run         executes one batch (called on a pool worker)
+     * @param pool        where drain tasks run: the owning system's
+     *                    pool, which in a fleet is the one pool every
+     *                    session shares. Must outlive this worker.
      * @param policy      what a full queue does to enqueue()
      * @param watchdog_seconds with the Block policy, how long a push
      *                    may stall before the watchdog trips and the
      *                    push falls back to evicting the oldest job
      *                    (degrade instead of wedge); <= 0 disables
      * @param on_drop     invoked for every evicted job
-     * @param executor    where drain tasks run; null selects the
-     *                    process-global ThreadPool. A fleet runtime
-     *                    injects its shared work-stealing executor so
-     *                    one thread set drives tracking and mapping
-     *                    for every session. Must outlive this worker.
      */
     MapWorker(size_t queue_depth, size_t batch_size, RunFn run,
+              ThreadPool &pool,
               OverflowPolicy policy = OverflowPolicy::Block,
-              double watchdog_seconds = 0, DropFn on_drop = nullptr,
-              Executor *executor = nullptr);
+              double watchdog_seconds = 0, DropFn on_drop = nullptr);
     ~MapWorker();
 
     MapWorker(const MapWorker &) = delete;
@@ -142,7 +141,7 @@ class MapWorker
     double watchdogSeconds_;
     DropFn onDrop_;
     /** Immutable after construction; internally synchronized. */
-    Executor *executor_;
+    ThreadPool &pool_;
 
     /** Guards the completion ledger below. queue_'s internal mutex may
      *  be taken while statusMutex_ is held (drainLoop's atomic

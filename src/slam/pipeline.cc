@@ -97,9 +97,11 @@ SlamConfig::forAlgorithm(BaseAlgorithm algo)
 
 SlamSystem::SlamSystem(const SlamConfig &config,
                        const Intrinsics &intrinsics)
-    : config_(config), intrinsics_(intrinsics),
+    : ownedPool_(config.pool ? nullptr : std::make_unique<ThreadPool>()),
+      config_(config), intrinsics_(intrinsics),
       tracker_(config.tracker), mapper_(config.mapper)
 {
+    ThreadPool &pool = config.pool ? *config.pool : *ownedPool_;
     // SlamConfig::multiViewWindow is the authoritative multi-view
     // knob at this layer; it overrides whatever the embedded mapper
     // config carried.
@@ -109,6 +111,7 @@ SlamSystem::SlamSystem(const SlamConfig &config,
     settings.background = {0.03f, 0.03f, 0.05f};
     settings.pipeline = config.pipeline;
     pipeline_ = gs::RenderPipeline(settings);
+    pipeline_.setPool(&pool);
 
     {
         // No worker can exist yet; the lock just keeps the guarded
@@ -152,8 +155,8 @@ SlamSystem::SlamSystem(const SlamConfig &config,
         mapWorker_ = std::make_unique<MapWorker>(
             config.mapQueueDepth, std::max<u32>(1, config.mapBatchSize),
             [this](std::vector<MapJob> &jobs) { runMapBatch(jobs); },
-            config.mapOverflowPolicy, config.mapWatchdogSeconds,
-            std::move(on_drop), config.mapExecutor);
+            pool, config.mapOverflowPolicy, config.mapWatchdogSeconds,
+            std::move(on_drop));
     }
 
     if (config.health.enabled)
@@ -224,12 +227,6 @@ SlamSystem::pendingPruneCount() const
     for (const PendingPrune &p : pendingPrunes_)
         n += p.appliedInGeneration == 0 ? 1 : 0;
     return n;
-}
-
-void
-SlamSystem::setRenderPool(ThreadPool *pool)
-{
-    pipeline_.setPool(pool);
 }
 
 void

@@ -24,6 +24,7 @@
 
 #include "common/annotations.hh"
 #include "common/mutex.hh"
+#include "common/thread_pool.hh"
 
 #include "data/dataset.hh"
 #include "slam/health_monitor.hh"
@@ -65,8 +66,8 @@ struct SlamConfig
     /**
      * Asynchronous-mapping queue depth. 0 (the default) runs mapping
      * synchronously inside processFrame, exactly reproducing the
-     * monolithic loop; >= 1 runs keyframe mapping on the shared
-     * ThreadPool behind a bounded queue of this depth, overlapping it
+     * monolithic loop; >= 1 runs keyframe mapping on the system's
+     * pool behind a bounded queue of this depth, overlapping it
      * with the tracking of subsequent frames. See src/slam/README.md
      * for the threading/ownership model.
      */
@@ -118,13 +119,15 @@ struct SlamConfig
     double mapWatchdogSeconds = 0;
 
     /**
-     * Executor the async map drain runs on. Null (the default) selects
-     * the process-global ThreadPool — the single-session behaviour.
-     * FleetRuntime injects its shared work-stealing executor here so
-     * one thread set serves tracking and mapping for every session.
-     * Non-owning; must outlive the SlamSystem. Ignored in sync mode.
+     * The worker pool for everything the system runs in parallel: the
+     * render fork-joins (projection, binning, sort, raster, backward)
+     * and the async map drain. Null (the default) makes the system own
+     * a ThreadPool(0), one worker per CPU in the affinity mask.
+     * FleetRuntime injects its pool here so every session runs on one
+     * thread set. Non-owning; must outlive the SlamSystem. Outputs are
+     * bitwise independent of the pool and its size.
      */
-    Executor *mapExecutor = nullptr;
+    ThreadPool *pool = nullptr;
 
     /**
      * Tracking-health monitoring (input validation, divergence
@@ -315,13 +318,13 @@ struct TrackingSnapshot
  *
  * With config.mapQueueDepth == 0 every stage runs inline on the caller
  * thread, byte-identical to the original monolithic loop. With a
- * positive depth the map stage runs asynchronously on the shared
- * ThreadPool behind a bounded keyframe queue; each drain iteration pops
- * up to config.mapBatchSize queued keyframes and maps them as one
- * batch. Tracking renders against a copy-on-write clone of the newest
- * published snapshot taken under the snapshot lock. In async mode,
- * call waitForMapping() before reading cloud()/reports() (the
- * map-iteration hook also fires on a pool worker then).
+ * positive depth the map stage runs asynchronously on the system's
+ * pool (SlamConfig::pool) behind a bounded keyframe queue; each drain
+ * iteration pops up to config.mapBatchSize queued keyframes and maps
+ * them as one batch. Tracking renders against a copy-on-write clone of
+ * the newest published snapshot taken under the snapshot lock. In
+ * async mode, call waitForMapping() before reading cloud()/reports()
+ * (the map-iteration hook also fires on a pool worker then).
  *
  * Feed frames in order via processFrame(); read the trajectory, map,
  * and reports afterwards.
@@ -421,12 +424,6 @@ class SlamSystem
 
     /** Prune requests not yet folded into the authoritative map. */
     size_t pendingPruneCount() const;
-
-    /**
-     * Thread-pool override for the render pipeline (tests pin worker
-     * counts); all rendering outputs are bitwise pool-size-independent.
-     */
-    void setRenderPool(ThreadPool *pool);
 
     /**
      * Hand the frame loop off to a different thread. The frame-loop
@@ -607,6 +604,9 @@ class SlamSystem
     }
 
     // --- Immutable after construction / internally synchronized.
+    /** The pool when config.pool is null. Declared first so it outlives
+     *  every member that posts to it (mapWorker_ drains before it). */
+    std::unique_ptr<ThreadPool> ownedPool_;
     SlamConfig config_;
     Intrinsics intrinsics_;
     /** Internally synchronized (scratch-arena free list). */
@@ -680,7 +680,7 @@ class SlamSystem
     mutable Mutex pruneMutex_;
     std::vector<PendingPrune> pendingPrunes_ RTGS_GUARDED_BY(pruneMutex_);
 
-    /** Async map executor; null in sync mode. Declared last so its
+    /** Async map drain; null in sync mode. Declared last so its
      *  destructor drains in-flight jobs before members are torn down.
      *  Immutable after construction; internally synchronized. */
     // det-lint: allow(unguarded-field)

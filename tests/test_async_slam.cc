@@ -186,8 +186,8 @@ TEST(AsyncSlam, BatchedAsyncBitwiseIndependentOfRenderWorkers)
         SlamConfig cfg = fastConfig(BaseAlgorithm::SplaTam);
         cfg.mapQueueDepth = 4;
         cfg.mapBatchSize = 2;
+        cfg.pool = &pool;
         SlamSystem system(cfg, ds.intrinsics());
-        system.setRenderPool(&pool);
         for (u32 f = 0; f < ds.frameCount(); ++f) {
             system.processFrame(ds.frame(f));
             system.waitForMapping();
@@ -243,6 +243,7 @@ TEST(MapWorkerTest, BatchedDrainPreservesFifoAndBatchCap)
     bool release = false;
     std::vector<std::vector<u32>> batches;
 
+    ThreadPool pool(1);
     MapWorker worker(/*queue_depth=*/4, /*batch_size=*/3,
                      [&](std::vector<MapJob> &batch) {
                          std::vector<u32> frames;
@@ -252,7 +253,8 @@ TEST(MapWorkerTest, BatchedDrainPreservesFifoAndBatchCap)
                          batches.push_back(std::move(frames));
                          cv.notify_all();
                          cv.wait(lock, [&] { return release; });
-                     });
+                     },
+                     pool);
 
     auto make_job = [](u32 frame) {
         MapJob job;
@@ -291,13 +293,15 @@ TEST(MapWorkerTest, EnqueueBlocksAtQueueCapacity)
     bool release = false;
     std::vector<u32> ran;
 
+    ThreadPool pool(1);
     MapWorker worker(/*queue_depth=*/1, /*batch_size=*/1,
                      [&](std::vector<MapJob> &batch) {
                          std::unique_lock<std::mutex> lock(m);
                          cv.wait(lock, [&] { return release; });
                          for (const MapJob &j : batch)
                              ran.push_back(j.record.frameIndex);
-                     });
+                     },
+                     pool);
 
     auto make_job = [](u32 frame) {
         MapJob job;
@@ -410,6 +414,7 @@ TEST(MapWorkerTest, DropOldestEvictsStaleJobsWithAccounting)
     std::vector<u32> ran;
     std::vector<u32> dropped;
 
+    ThreadPool pool(1);
     MapWorker worker(
         /*queue_depth=*/2, /*batch_size=*/1,
         [&](std::vector<MapJob> &batch) {
@@ -419,7 +424,7 @@ TEST(MapWorkerTest, DropOldestEvictsStaleJobsWithAccounting)
             cv.notify_all();
             cv.wait(lock, [&] { return release; });
         },
-        OverflowPolicy::DropOldest, /*watchdog_seconds=*/0,
+        pool, OverflowPolicy::DropOldest, /*watchdog_seconds=*/0,
         [&](MapJob &job) { dropped.push_back(job.record.frameIndex); });
 
     auto make_job = [](u32 frame) {
@@ -462,6 +467,7 @@ TEST(MapWorkerTest, WatchdogUnwedgesBlockedProducer)
     std::vector<u32> ran;
     std::vector<u32> dropped;
 
+    ThreadPool pool(1);
     MapWorker worker(
         /*queue_depth=*/1, /*batch_size=*/1,
         [&](std::vector<MapJob> &batch) {
@@ -471,7 +477,7 @@ TEST(MapWorkerTest, WatchdogUnwedgesBlockedProducer)
             cv.notify_all();
             cv.wait(lock, [&] { return release; }); // wedged until release
         },
-        OverflowPolicy::Block, /*watchdog_seconds=*/0.05,
+        pool, OverflowPolicy::Block, /*watchdog_seconds=*/0.05,
         [&](MapJob &job) { dropped.push_back(job.record.frameIndex); });
 
     auto make_job = [](u32 frame) {

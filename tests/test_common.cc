@@ -326,22 +326,64 @@ TEST(ThreadPool, OnWorkerThreadDetection)
     EXPECT_FALSE(pool.onWorkerThread());
 }
 
-TEST(ThreadPool, SubmitRunsTaskAndFulfillsFuture)
+TEST(ThreadPool, RunsEveryTaskAndIdleWorkersSteal)
 {
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    auto f1 = pool.submit([&] { ran++; });
-    auto f2 = pool.submit([&] { ran++; });
-    f1.wait();
-    f2.wait();
-    EXPECT_EQ(ran.load(), 2);
+    // All 64 tasks pinned to queue 0 of a 4-worker pool: workers 1-3
+    // can only make progress by stealing, and every task must still
+    // run exactly once.
+    ThreadPool pool(4);
+    std::vector<int> ran(64, 0);
+    for (size_t i = 0; i < ran.size(); ++i) {
+        pool.postTo(0, [&ran, i] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            ran[i] += 1; // distinct slots: no write conflicts
+        });
+    }
+    pool.drain();
+    for (size_t i = 0; i < ran.size(); ++i)
+        EXPECT_EQ(1, ran[i]) << "task " << i;
+    EXPECT_GT(pool.steals(), 0u);
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptions)
+TEST(ThreadPool, PausedPoolStagesWorkUntilStart)
 {
-    ThreadPool pool(1);
-    auto f = pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(f.get(), std::runtime_error);
+    ThreadPool pool(2, /*start_paused=*/true);
+    std::vector<int> ran(8, 0);
+    for (size_t i = 0; i < ran.size(); ++i)
+        pool.post([&ran, i] { ran[i] = 1; });
+    // Workers exist but sleep until start(): nothing may have run.
+    for (int r : ran)
+        EXPECT_EQ(0, r);
+    pool.start();
+    pool.drain();
+    for (int r : ran)
+        EXPECT_EQ(1, r);
+}
+
+TEST(ThreadPool, DestructorRunsStagedTasks)
+{
+    // A paused pool destroyed with staged tasks still owes them an
+    // execution (the fleet relies on this for teardown safety).
+    std::vector<int> ran(4, 0);
+    {
+        ThreadPool pool(2, /*start_paused=*/true);
+        for (size_t i = 0; i < ran.size(); ++i)
+            pool.post([&ran, i] { ran[i] = 1; });
+    }
+    for (int r : ran)
+        EXPECT_EQ(1, r);
+}
+
+TEST(ThreadPool, ForkJoinOnPausedPoolRunsOnCaller)
+{
+    // A paused pool cannot serve helper chunks; the caller claims every
+    // chunk itself instead of waiting for workers that are asleep.
+    ThreadPool pool(2, /*start_paused=*/true);
+    std::vector<std::atomic<int>> hits(100);
+    pool.parallelFor(0, hits.size(), [&](size_t i) { hits[i]++; });
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+    pool.start();
 }
 
 TEST(BoundedQueue, FifoOrder)

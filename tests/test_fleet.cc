@@ -1,15 +1,14 @@
 /**
  * @file
  * Fleet-runtime test suite: session isolation, determinism, fairness,
- * admission control, and teardown for the shared work-stealing
- * executor serving N concurrent SLAM sessions.
+ * admission control, and teardown for the one work-stealing pool
+ * serving N concurrent SLAM sessions.
  *
  * The load-bearing contracts:
  *  - fleet-of-1 output is byte-identical to a standalone run on all
  *    four base-algorithm profiles;
- *  - N-session output is bitwise identical across 1/2/4 executor
- *    workers (the executor decides WHERE work runs, never its
- *    result);
+ *  - N-session output is bitwise identical across 1/2/4 pool
+ *    workers (the pool decides WHERE work runs, never its result);
  *  - two sessions running concurrently stay isolated: each matches
  *    its solo run byte for byte (pins shared-RNG / static-scratch /
  *    profiler-aliasing hazards and the thread-affinity rebind of the
@@ -23,13 +22,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <vector>
 
-#include "slam/fleet_executor.hh"
 #include "slam/fleet_runtime.hh"
 #include "slam/pipeline.hh"
 
@@ -132,69 +128,18 @@ submitAll(FleetRuntime &fleet, FleetRuntime::SessionId id)
 
 } // namespace
 
-// ---------------------------------------------------------------- //
-//                         FleetExecutor units                      //
-// ---------------------------------------------------------------- //
-
-TEST(FleetExecutorTest, RunsEveryTaskAndIdleWorkersSteal)
+TEST(FleetRuntime, ZeroWorkerRequestClampsToOne)
 {
-    // All 64 tasks pinned to queue 0 of a 4-worker executor: workers
-    // 1-3 can only make progress by stealing, and every task must
-    // still run exactly once.
-    FleetExecutor exec(4);
-    std::vector<int> ran(64, 0);
-    for (size_t i = 0; i < ran.size(); ++i) {
-        exec.postTo(0, [&ran, i] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            ran[i] += 1; // distinct slots: no write conflicts
-        });
-    }
-    exec.drain();
-    for (size_t i = 0; i < ran.size(); ++i)
-        EXPECT_EQ(1, ran[i]) << "task " << i;
-    EXPECT_EQ(64u, exec.tasksPosted());
-    EXPECT_EQ(64u, exec.tasksCompleted());
-    EXPECT_GT(exec.steals(), 0u);
-}
-
-TEST(FleetExecutorTest, PausedExecutorStagesWorkUntilStart)
-{
-    FleetExecutor exec(2, /*start_paused=*/true);
-    std::vector<int> ran(8, 0);
-    for (size_t i = 0; i < ran.size(); ++i)
-        exec.post([&ran, i] { ran[i] = 1; });
-    // Workers exist but sleep until start(): nothing may have run.
-    EXPECT_EQ(0u, exec.tasksCompleted());
-    for (int r : ran)
-        EXPECT_EQ(0, r);
-    exec.start();
-    exec.drain();
-    for (int r : ran)
-        EXPECT_EQ(1, r);
-}
-
-TEST(FleetExecutorTest, ZeroWorkerRequestClampsToOne)
-{
-    FleetExecutor exec(0);
-    EXPECT_EQ(1u, exec.workerCount());
+    // ThreadPool(0) would mean "one worker per CPU"; a fleet asked for
+    // zero workers gets exactly one instead.
+    FleetConfig cfg;
+    cfg.workers = 0;
+    FleetRuntime fleet(cfg);
+    EXPECT_EQ(1u, fleet.executor().size());
     int ran = 0;
-    exec.post([&ran] { ran = 1; });
-    exec.drain();
+    fleet.executor().post([&ran] { ran = 1; });
+    fleet.executor().drain();
     EXPECT_EQ(1, ran);
-}
-
-TEST(FleetExecutorTest, DestructorRunsStagedTasks)
-{
-    // A paused executor destroyed with staged tasks still owes them
-    // an execution (the fleet relies on this for teardown safety).
-    std::vector<int> ran(4, 0);
-    {
-        FleetExecutor exec(2, /*start_paused=*/true);
-        for (size_t i = 0; i < ran.size(); ++i)
-            exec.post([&ran, i] { ran[i] = 1; });
-    }
-    for (int r : ran)
-        EXPECT_EQ(1, r);
 }
 
 // ---------------------------------------------------------------- //
@@ -300,8 +245,8 @@ TEST(FleetRuntime, ConcurrentSessionsStayIsolated)
     // workers — one with the thread-affine health monitor +
     // relocalizer enabled (their state must migrate across turn
     // boundaries, not panic or leak), one mapping asynchronously
-    // through the SHARED executor (the MapWorker globalPool coupling
-    // this PR removed). Each must match its solo run byte for byte;
+    // through the SHARED pool. Each must match its solo run byte for
+    // byte;
     // any shared RNG, static scratch, or aliased profiler would show
     // up as a diff here.
     SlamConfig health_cfg = fastConfig(BaseAlgorithm::MonoGs);

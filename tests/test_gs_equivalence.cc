@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <tuple>
 
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "gs/reference.hh"
 #include "gs/render_pipeline.hh"
 
@@ -83,12 +85,14 @@ expectProjectionMatchesReference(const ProjectedCloud &par,
     }
 }
 
-/** Binning (and its depth sort) matches the reference's tile lists. */
+/** Binning (and its depth sort) on `pool` matches the reference's tile
+ *  lists. */
 void
-expectBinsMatchReference(const ProjectedCloud &proj, const TileGrid &grid)
+expectBinsMatchReference(const ProjectedCloud &proj, const TileGrid &grid,
+                         ThreadPool *pool)
 {
     ReferenceTileLists ref = intersectTilesReference(proj, grid);
-    TileBins bins = intersectTiles(proj, grid);
+    TileBins bins = intersectTiles(proj, grid, pool);
 
     ASSERT_EQ(bins.tiles, grid.tileCount());
     ASSERT_EQ(bins.totalIntersections(), ref.totalIntersections());
@@ -102,7 +106,7 @@ expectBinsMatchReference(const ProjectedCloud &proj, const TileGrid &grid)
     // After sorting, both orders coincide too: the radix sort and the
     // per-tile stable_sort are stable under equal depths.
     sortTilesByDepthReference(ref, proj);
-    sortTilesByDepth(bins, proj);
+    sortTilesByDepth(bins, proj, pool);
     EXPECT_TRUE(tilesAreDepthSorted(bins, proj));
     for (u32 t = 0; t < grid.tileCount(); ++t)
         for (u32 i = 0; i < bins.count(t); ++i)
@@ -118,19 +122,26 @@ aroundGrain(size_t grain)
 
 } // namespace
 
-class PipelineEquivalence : public ::testing::TestWithParam<u64>
+/** Parameters: (scene seed, pool worker count). */
+class PipelineEquivalence
+    : public ::testing::TestWithParam<std::tuple<u64, size_t>>
 {
+  protected:
+    u64 seed() const { return std::get<0>(GetParam()); }
+
+    ThreadPool pool{std::get<1>(GetParam())};
 };
 
 TEST_P(PipelineEquivalence, ForwardMatchesSerialReference)
 {
-    RandomScene scene(GetParam());
+    RandomScene scene(seed());
     RenderSettings settings;
     settings.background = {0.1f, 0.2f, 0.3f};
 
     ReferenceForward ref =
         forwardReference(scene.cloud, scene.camera, settings);
     RenderPipeline pipe(settings);
+    pipe.setPool(&pool);
     ForwardContext ctx = pipe.forward(scene.cloud, scene.camera);
 
     ASSERT_EQ(ref.result.image.pixelCount(),
@@ -154,21 +165,21 @@ TEST_P(PipelineEquivalence, ForwardMatchesSerialReference)
 
 TEST_P(PipelineEquivalence, FlatBinsMatchReferenceLists)
 {
-    RandomScene scene(GetParam());
+    RandomScene scene(seed());
     RenderSettings settings;
     ProjectedCloud proj =
-        projectGaussians(scene.cloud, scene.camera, settings);
+        projectGaussians(scene.cloud, scene.camera, settings, &pool);
     TileGrid grid(scene.camera.intr.width, scene.camera.intr.height,
                   settings.tileSize);
-    expectBinsMatchReference(proj, grid);
+    expectBinsMatchReference(proj, grid, &pool);
 }
 
 TEST_P(PipelineEquivalence, ProjectionMatchesSerialReference)
 {
-    RandomScene scene(GetParam());
+    RandomScene scene(seed());
     RenderSettings settings;
     expectProjectionMatchesReference(
-        projectGaussians(scene.cloud, scene.camera, settings),
+        projectGaussians(scene.cloud, scene.camera, settings, &pool),
         projectGaussiansReference(scene.cloud, scene.camera, settings));
 }
 
@@ -243,9 +254,10 @@ expectBackwardNear(const BackwardResult &par, const BackwardResult &ser,
 
 TEST_P(PipelineEquivalence, BackwardMatchesSerialFull)
 {
-    RandomScene scene(GetParam());
+    RandomScene scene(seed());
     RenderSettings settings;
     RenderPipeline pipe(settings);
+    pipe.setPool(&pool);
     ForwardContext ctx = pipe.forward(scene.cloud, scene.camera);
 
     ImageRGB adj(ctx.grid.width, ctx.grid.height, {0.4f, -0.2f, 0.3f});
@@ -265,9 +277,10 @@ TEST_P(PipelineEquivalence, BackwardDepthGradMatchesSerialFull)
     // Depth-adjoint path: the splat-major kernel must reproduce the
     // reference's dL/dDepth flow (the colour-only sweep above leaves
     // dlD identically zero and would not catch a broken depth path).
-    RandomScene scene(GetParam());
+    RandomScene scene(seed());
     RenderSettings settings;
     RenderPipeline pipe(settings);
+    pipe.setPool(&pool);
     ForwardContext ctx = pipe.forward(scene.cloud, scene.camera);
 
     ImageRGB adj(ctx.grid.width, ctx.grid.height, {0.2f, -0.1f, 0.25f});
@@ -300,12 +313,13 @@ TEST_P(PipelineEquivalence, BackwardClampedAlphaMatchesSerialFull)
     // alpha zeroed, but colour/depth gradients and the compositing
     // recurrences still run) that the uniform(0.05, 0.95) opacity
     // sweeps never reach.
-    RandomScene scene(GetParam());
+    RandomScene scene(seed());
     for (size_t k = 0; k < scene.cloud.size(); k += 2)
         scene.cloud.opacityLogits.mut()[k] = inverseSigmoid(Real(0.999));
 
     RenderSettings settings;
     RenderPipeline pipe(settings);
+    pipe.setPool(&pool);
     ForwardContext ctx = pipe.forward(scene.cloud, scene.camera);
 
     // At least one projected splat must be able to saturate.
@@ -327,8 +341,10 @@ TEST_P(PipelineEquivalence, BackwardClampedAlphaMatchesSerialFull)
     expectBackwardNear(par, ser, scene.cloud.size(), true);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, PipelineEquivalence,
-                         ::testing::Values(3u, 17u, 42u, 99u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, PipelineEquivalence,
+    ::testing::Combine(::testing::Values(3u, 17u, 42u, 99u),
+                       ::testing::Values(1u, 2u, 4u)));
 
 TEST(PipelineEquivalence, SubAlphaMinOpacitiesMatchReference)
 {
@@ -395,37 +411,44 @@ TEST(RadixSort, MatchesStableSortAndKeepsTies)
 }
 
 // Stage grains: up to one grain of work runs inline, one item more
-// forks. Both sides of each cutoff must give the serial result.
+// forks. Both sides of each cutoff must give the serial result, on
+// pools of every parameterised worker count.
 
-TEST(StageGrain, ProjectionMatchesReferenceAroundGrain)
+class StageGrain : public ::testing::TestWithParam<size_t>
+{
+  protected:
+    ThreadPool pool{GetParam()};
+};
+
+TEST_P(StageGrain, ProjectionMatchesReferenceAroundGrain)
 {
     for (size_t n : aroundGrain(kProjectGrain)) {
         SCOPED_TRACE(n);
         RandomScene scene(n, n);
         RenderSettings settings;
         expectProjectionMatchesReference(
-            projectGaussians(scene.cloud, scene.camera, settings),
+            projectGaussians(scene.cloud, scene.camera, settings, &pool),
             projectGaussiansReference(scene.cloud, scene.camera,
                                       settings));
     }
 }
 
-TEST(StageGrain, BinningMatchesReferenceAroundGrain)
+TEST_P(StageGrain, BinningMatchesReferenceAroundGrain)
 {
     for (size_t n : aroundGrain(kBinGrain)) {
         SCOPED_TRACE(n);
         RandomScene scene(n, n);
         RenderSettings settings;
         ProjectedCloud proj =
-            projectGaussians(scene.cloud, scene.camera, settings);
+            projectGaussians(scene.cloud, scene.camera, settings, &pool);
         ASSERT_EQ(proj.size(), n);
         TileGrid grid(scene.camera.intr.width, scene.camera.intr.height,
                       settings.tileSize);
-        expectBinsMatchReference(proj, grid);
+        expectBinsMatchReference(proj, grid, &pool);
     }
 }
 
-TEST(StageGrain, RadixSortMatchesStableSortAroundGrain)
+TEST_P(StageGrain, RadixSortMatchesStableSortAroundGrain)
 {
     for (size_t n : aroundGrain(kSortGrain)) {
         SCOPED_TRACE(n);
@@ -445,7 +468,7 @@ TEST(StageGrain, RadixSortMatchesStableSortAroundGrain)
                              return a.first < b.first;
                          });
 
-        radixSortPairs(keys, vals, 32 + 9);
+        radixSortPairs(keys, vals, 32 + 9, &pool);
         size_t mismatches = 0;
         for (size_t i = 0; i < n; ++i)
             mismatches += keys[i] != expect[i].first ||
@@ -453,6 +476,9 @@ TEST(StageGrain, RadixSortMatchesStableSortAroundGrain)
         EXPECT_EQ(mismatches, 0u);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(Workers, StageGrain,
+                         ::testing::Values(1u, 2u, 4u));
 
 TEST(Rasterizer, EmptyTileFastPathFillsBackground)
 {

@@ -10,7 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <future>
+#include <mutex>
 #include <set>
 #include <vector>
 
@@ -101,9 +105,8 @@ runSequence(BaseAlgorithm algo, u32 multi_view_window,
     auto &ds = tinyDataset();
     SlamConfig cfg = fastConfig(algo);
     cfg.multiViewWindow = multi_view_window;
+    cfg.pool = pool;
     SlamSystem system(cfg, ds.intrinsics());
-    if (pool)
-        system.setRenderPool(pool);
     for (u32 f = 0; f < ds.frameCount(); ++f)
         system.processFrame(ds.frame(f));
     return {system.trajectory(), system.cloud(), system.reports()};
@@ -226,8 +229,8 @@ TEST(MultiView, AsyncMultiViewBitwiseIndependentOfRenderWorkers)
         SlamConfig cfg = fastConfig(BaseAlgorithm::SplaTam);
         cfg.mapQueueDepth = 2;
         cfg.multiViewWindow = 2;
+        cfg.pool = &pool;
         SlamSystem system(cfg, ds.intrinsics());
-        system.setRenderPool(&pool);
         for (u32 f = 0; f < ds.frameCount(); ++f) {
             system.processFrame(ds.frame(f));
             system.waitForMapping();
@@ -298,6 +301,59 @@ TEST(MultiView, MultiViewChangesNumericsAndReportsViewCount)
     EXPECT_EQ(max_views_seq, 1u);
     EXPECT_GE(max_views_multi, 2u);
     EXPECT_LE(max_views_multi, 3u);
+}
+
+TEST(MultiView, TakeRunsUnstartedPassWhileOtherWorkerIsBusy)
+{
+    // A map drain runs on a pool worker and take()s a forward pass it
+    // posted. When every other worker is busy (in a fleet: another
+    // session's long turn), nobody may ever dequeue that pass, so
+    // take() must run it itself instead of waiting for a worker.
+    auto &ds = tinyDataset();
+    const Camera cam(ds.intrinsics(), ds.gtPose(0));
+    ThreadPool pool(2);
+    gs::RenderPipeline pipe;
+    pipe.setPool(&pool);
+
+    std::mutex m;
+    std::condition_variable cv;
+    bool parked = false, release = false;
+    pool.post([&] {
+        std::unique_lock<std::mutex> lock(m);
+        parked = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+    });
+    std::promise<gs::ForwardContext> taken;
+    pool.post([&] {
+        {
+            std::unique_lock<std::mutex> lock(m);
+            cv.wait(lock, [&] { return parked; });
+        }
+        gs::AsyncForward pass =
+            pipe.forwardAsync(ds.groundTruthCloud(), cam);
+        taken.set_value(pass.take());
+    });
+
+    std::future<gs::ForwardContext> result = taken.get_future();
+    const bool finished = result.wait_for(std::chrono::seconds(60)) ==
+                          std::future_status::ready;
+    {
+        std::lock_guard<std::mutex> lock(m);
+        release = true;
+    }
+    cv.notify_all();
+    pool.drain(); // both tasks retire before the locals they capture
+    ASSERT_TRUE(finished) << "take() waited for a parked worker";
+    const gs::ForwardContext ctx = result.get();
+    const gs::ForwardContext inline_ctx =
+        pipe.forward(ds.groundTruthCloud(), cam);
+    ASSERT_EQ(ctx.result.image.pixelCount(),
+              inline_ctx.result.image.pixelCount());
+    EXPECT_EQ(0, std::memcmp(ctx.result.image.data(),
+                             inline_ctx.result.image.data(),
+                             ctx.result.image.pixelCount() *
+                                 sizeof(Vec3f)));
 }
 
 } // namespace rtgs::slam

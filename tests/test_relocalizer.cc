@@ -139,12 +139,11 @@ constexpr u32 kShroudLength = 4;
 /** Deliver the occluded-teleport stream of the bench's
  *  tracking_lost_recovery scenario into one SlamSystem. */
 TeleportRun
-runTeleport(const SlamConfig &cfg, ThreadPool *pool = nullptr)
+runTeleport(SlamConfig cfg, ThreadPool *pool = nullptr)
 {
     data::SyntheticDataset &ds = lostDataset();
+    cfg.pool = pool;
     SlamSystem sys(cfg, ds.intrinsics());
-    if (pool)
-        sys.setRenderPool(pool);
 
     data::OccluderSpec shroud;
     shroud.sizeFraction = Real(0.95);

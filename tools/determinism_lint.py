@@ -47,18 +47,21 @@ into mechanical checks over the source tree:
                         faithfully-rounded exp is the sanctioned,
                         marker-delimited exception.
   tsan-filter           Every test file that uses ThreadPool /
-                        MapWorker / BoundedQueue / FleetExecutor /
-                        FleetRuntime / WorkStealingQueue must have at
-                        least one test matched by the thread-sanitizer
-                        job's --gtest_filter allowlist in ci.yml, so
-                        new concurrency tests cannot silently dodge
-                        TSan.
-  global-pool           No globalPool() reference in the fleet layer
-                        (src/slam/fleet_*): fleet code must run on the
-                        injected shared executor; reaching for the
-                        process-global pool reintroduces the hidden
-                        cross-session coupling the fleet exists to
-                        remove.
+                        MapWorker / BoundedQueue / FleetRuntime /
+                        WorkStealingQueue must have at least one test
+                        matched by the thread-sanitizer job's
+                        --gtest_filter allowlist in ci.yml, so new
+                        concurrency tests cannot silently dodge TSan.
+  global-pool           No globalPool() reference anywhere in src/,
+                        bench/, examples/ or tests/: there is no
+                        process-wide pool. Code that wants threads
+                        owns a ThreadPool or takes one explicitly
+                        (SlamConfig::pool, RenderPipeline::setPool,
+                        the gs stages' trailing ThreadPool *); a
+                        hidden global pool would couple sessions
+                        behind the fleet scheduler's back and keep the
+                        worker-count tests from reaching the stages
+                        that use it.
 
 Escapes (sparingly, with a reason in the surrounding comment):
 
@@ -232,7 +235,7 @@ ATOMIC_FLOAT_RE = re.compile(
     r"\bstd::atomic\s*<\s*(float|double|long\s+double|Real)\s*>")
 DOUBLE_RE = re.compile(r"\bdouble\b|\b__m256d\b|_mm256_\w+_pd\b|\b_pd\b")
 GLOBAL_POOL_RE = re.compile(r"\bglobalPool\s*\(")
-FLEET_GLOB = "src/slam/fleet_*"
+GLOBAL_POOL_DIRS = ("src", "bench", "examples", "tests")
 
 MUTEX_DECL_RE = re.compile(r"^\s*(mutable\s+)?(rtgs::)?Mutex\s+\w+_\s*;")
 EXEMPT_MEMBER_RE = re.compile(
@@ -260,7 +263,6 @@ def lint_file(src, relpath):
     is_rng = relpath in RNG_FILES
     is_profiler = relpath in PROFILER_FILES
     is_row_kernel = fnmatch.fnmatch(relpath, ROW_KERNEL_GLOB)
-    is_fleet = fnmatch.fnmatch(relpath, FLEET_GLOB)
 
     for lineno, line in enumerate(src.code_lines, 1):
         if contracted and UNORDERED_RE.search(line):
@@ -290,20 +292,33 @@ def lint_file(src, relpath):
                 "atomic floating-point accumulator; accumulation order "
                 "depends on scheduling — reduce over fixed blocks "
                 "(ThreadPool::parallelForChunks + serial block fold)")
-        if is_fleet and GLOBAL_POOL_RE.search(line):
-            hit(lineno, "global-pool",
-                "globalPool() referenced from the fleet layer; fleet "
-                "code runs on the injected shared executor — the "
-                "process-global pool would couple sessions behind the "
-                "scheduler's back")
         if is_row_kernel and DOUBLE_RE.search(line):
             hit(lineno, "double-accum",
                 "double-precision arithmetic in a float row kernel; "
                 "widening accumulators drifts the rung A/B contracts — "
                 "keep kernels fp32 (see the sanctioned exp exception)")
 
+    findings.extend(check_global_pool(src, relpath))
     findings.extend(check_unguarded_fields(src, relpath))
     findings.extend(check_cow_raw_access(src, relpath))
+    return findings
+
+
+def check_global_pool(src, relpath):
+    """No process-wide pool: every ThreadPool is owned and passed
+    explicitly, in the library and in everything built on it."""
+    if relpath.split("/", 1)[0] not in GLOBAL_POOL_DIRS:
+        return []
+    findings = []
+    for lineno, line in enumerate(src.code_lines, 1):
+        if GLOBAL_POOL_RE.search(line) and \
+                not src.allows(lineno, "global-pool"):
+            findings.append(Finding(
+                relpath, lineno, "global-pool",
+                "globalPool() referenced; there is no process-wide "
+                "pool — own a ThreadPool or take one explicitly "
+                "(SlamConfig::pool, RenderPipeline::setPool, the gs "
+                "stages' ThreadPool * argument)"))
     return findings
 
 
@@ -393,12 +408,12 @@ def check_cow_raw_access(src, relpath):
 
 CONCURRENCY_TOKEN_RE = re.compile(
     r"\bThreadPool\b|\bMapWorker\b|\bBoundedQueue\b|\bparallelForChunks\b|"
-    r"\bFleetExecutor\b|\bFleetRuntime\b|\bWorkStealingQueue\b")
+    r"\bFleetRuntime\b|\bWorkStealingQueue\b")
 # Matched against the RAW text: the comment/string stripper blanks
 # include paths (they are string literals).
 CONCURRENCY_INCLUDE_RE = re.compile(
     r'#include\s+"(common/thread_pool|common/bounded_queue|'
-    r'slam/map_worker|slam/fleet_executor|slam/fleet_runtime)\.hh"')
+    r'slam/map_worker|slam/fleet_runtime)\.hh"')
 TEST_DECL_RE = re.compile(
     r"\bTEST(?:_F|_P)?\s*\(\s*([A-Za-z_]\w*)\s*,\s*([A-Za-z_]\w*)")
 GTEST_FILTER_RE = re.compile(r"--gtest_filter=['\"]?([^'\"\s]+)")
@@ -496,8 +511,8 @@ def libclang_pass(root):
 # Driver
 # ---------------------------------------------------------------------
 
-def iter_source_files(root):
-    for base in ("src",):
+def iter_source_files(root, bases=("src",)):
+    for base in bases:
         for dirpath, _dirnames, filenames in os.walk(os.path.join(root, base)):
             for name in sorted(filenames):
                 if name.endswith((".cc", ".hh", ".h", ".hpp", ".cpp")):
@@ -516,6 +531,13 @@ def lint_tree(root, use_libclang=False):
             findings.append(Finding(relpath, 1, "unguarded-field", str(err)))
             continue
         findings.extend(lint_file(src, relpath))
+
+    # Outside src/ only the global-pool rule applies.
+    outside = tuple(d for d in GLOBAL_POOL_DIRS if d != "src")
+    for relpath in iter_source_files(root, outside):
+        with open(os.path.join(root, relpath), encoding="utf-8") as fh:
+            src = SourceFile(relpath, fh.read())
+        findings.extend(check_global_pool(src, relpath))
 
     ci_path = os.path.join(root, ".github", "workflows", "ci.yml")
     tests_dir = os.path.join(root, "tests")
@@ -626,6 +648,14 @@ def run_self_test(root):
         failures.append("tsan-filter: false positive on a covered "
                         "fleet test file")
     checked += 4
+
+    # global-pool covers the whole tree that links the library, not
+    # just one layer: a test reaching for a global pool fires too.
+    pool_src = SourceFile("tests/test_x.cc",
+                          "void f() { globalPool().size(); }\n")
+    if not check_global_pool(pool_src, "tests/test_x.cc"):
+        failures.append("global-pool: missed a reference under tests/")
+    checked += 1
 
     if failures:
         for f in failures:

@@ -1,19 +1,19 @@
-// det-lint-path: src/slam/fleet_bad_example.cc
+// det-lint-path: bench/bench_bad_example.cc
 // det-lint-expect: global-pool
 //
-// Fleet code reaching for the process-global thread pool: sessions
-// hosted by the fleet must run every task on the injected shared
-// executor, or scheduling escapes the fairness/backpressure contract
-// and couples sessions behind the scheduler's back.
+// A bench reaching for a process-wide thread pool: there is none.
+// Benches, examples and tests own a ThreadPool and hand it to the
+// pipeline explicitly, so what they time or check is the pool they
+// chose, not one shared behind their back.
 #include "common/thread_pool.hh"
 
-namespace rtgs::slam
+namespace rtgs
 {
 
 void
-drainSomething()
+timeSomething()
 {
     globalPool().post([] {});
 }
 
-} // namespace rtgs::slam
+} // namespace rtgs
