@@ -126,8 +126,9 @@ runSequence(data::SyntheticDataset &dataset,
     rtgs.setExternalTrackHook(
         [&](const slam::TrackIterationContext &ctx) {
             // trackingCloud(): the cloud this iteration rendered (the
-            // COW clone in async mode — the authoritative cloud may be
-            // mid-mutation on a map worker there).
+            // per-frame COW clone — the authoritative cloud lags its
+            // prunes and masks and may be mid-mutation on a map
+            // worker).
             last_track = hw::IterationTrace::capture(
                 *ctx.forward,
                 rtgs.system().trackingCloud().activeCount());

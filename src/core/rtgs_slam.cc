@@ -15,14 +15,6 @@ RtgsSlam::RtgsSlam(const RtgsSlamConfig &config,
       pruner_(config.pruner), downsampler_(config.downsampler),
       taming_(500), gate_(config.gate)
 {
-    // In-tracking pruning composes with asynchronous mapping (keep
-    // masks are computed against the per-frame tracking clone and
-    // translated onto the authoritative cloud through stable ids), so
-    // no config adjustment is needed here; read the system's view back
-    // so config() reflects what actually runs — including the
-    // normalisations SlamSystem applies (e.g. multiViewWindow copied
-    // over mapper.multiViewWindow).
-    config_.base = system_->config();
     installHooks();
 }
 
@@ -64,30 +56,26 @@ RtgsSlam::installHooks()
                 return;
             if (config_.pruneMethod == PruneMethod::Rtgs) {
                 // Arm the pruner on the first iteration, when the
-                // cloud tracking actually renders is known — in async
-                // mode the per-frame clone only exists once tracking
-                // starts, and initialCount (the permanent denominator
-                // of the global prune cap) must come from it, not from
-                // the previous frame's clone.
+                // cloud tracking actually renders is known — the
+                // per-frame clone only exists once tracking starts,
+                // and initialCount (the permanent denominator of the
+                // global prune cap) must come from it, not from the
+                // previous frame's clone.
                 if (ctx.iteration == 0)
                     pruner_.beginFrame(system_->trackingCloud());
                 // Reuse this iteration's gradients and tile bins. The
-                // pruner mutates the cloud tracking renders against:
-                // the authoritative cloud in sync mode, the per-frame
-                // COW clone in async mode. On removal the compaction is
-                // mirrored either directly into the mapping optimiser
-                // (sync) or deferred through an id-translated prune
-                // request the next map batch applies (async; the
-                // callback runs before the clone is compacted, so the
-                // keep mask still indexes the clone's current ids).
+                // pruner mutates the per-frame COW clone tracking
+                // renders against. On removal the compaction is
+                // deferred through an id-translated prune request the
+                // next map batch or flush applies to the authoritative
+                // cloud and the mapping optimiser (the callback runs
+                // before the clone is compacted, so the keep mask still
+                // indexes the clone's current ids).
                 pruner_.onIteration(
                     system_->trackingCloud(), ctx.backward->grads,
                     ctx.forward->bins,
                     [this](const std::vector<u8> &keep) {
-                        if (system_->asyncMapping())
-                            system_->requestTrackingPrune(keep);
-                        else
-                            system_->mapper().remapOptimizer(keep);
+                        system_->requestTrackingPrune(keep);
                         taming_.remap(keep);
                     });
             } else if (config_.pruneMethod == PruneMethod::Taming) {
@@ -102,8 +90,8 @@ RtgsSlam::applyTamingPrune()
     // Taming prunes on its (noisy, under-warmed) trend scores with a
     // fixed per-frame slice up to the same global cap. The scorer
     // observed the tracking-side cloud, so the mask is computed and
-    // applied there; async mode forwards it to the authoritative map
-    // as an id-translated prune request.
+    // applied there and forwarded to the authoritative map as an
+    // id-translated prune request.
     auto &cloud = system_->trackingCloud();
     if (tamingInitial_ == 0)
         tamingInitial_ = cloud.size();
@@ -115,11 +103,11 @@ RtgsSlam::applyTamingPrune()
     if (current >= cap || cloud.size() <= 64)
         return;
 
-    // The scorer saw the cloud as it was during tracking; densification
-    // on keyframes (or every frame, SplaTAM-like) may have grown it
-    // since. Grown entries get zero trend score — they have shown no
-    // gradient evidence yet — and keepMaskFromScores' floor keeps the
-    // prune slice bounded regardless.
+    // The scores cover the entries the scorer has observed; the clone
+    // may hold more (densified since its last gradient pass). Those get
+    // zero trend score — they have shown no gradient evidence yet — and
+    // keepMaskFromScores' floor keeps the prune slice bounded
+    // regardless.
     std::vector<Real> scores = taming_.scores();
     scores.resize(cloud.size(), 0);
     std::vector<u8> keep = keepMaskFromScores(
@@ -128,11 +116,8 @@ RtgsSlam::applyTamingPrune()
     for (u8 k : keep)
         removed += k ? 0 : 1;
     if (removed > 0) {
-        if (system_->asyncMapping())
-            system_->requestTrackingPrune(keep); // needs pre-compact ids
+        system_->requestTrackingPrune(keep); // needs pre-compact ids
         cloud.compact(keep);
-        if (!system_->asyncMapping())
-            system_->mapper().remapOptimizer(keep);
         taming_.remap(keep);
         tamingPruned_ += removed;
     }

@@ -86,10 +86,11 @@ class RtgsSlam
     RtgsFrameReport processFrame(const data::Frame &frame);
 
     /**
-     * Block until asynchronously enqueued mapping work has completed
-     * and refresh reports() rows with the completed map results. Call
-     * before reading the map / reports when base.mapQueueDepth > 0
-     * (no-op otherwise).
+     * Block until asynchronously enqueued mapping work has completed,
+     * fold every pending prune into the map (SlamSystem::
+     * waitForMapping), and refresh reports() rows with the completed
+     * map results. Call before reading the map / reports; in sync mode
+     * it only folds in the last frame's Taming prune.
      */
     void finish();
 

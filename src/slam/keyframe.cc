@@ -13,7 +13,7 @@ IntervalKeyframePolicy::IntervalKeyframePolicy(u32 interval)
 }
 
 bool
-IntervalKeyframePolicy::isKeyframe(const KeyframeQuery &query)
+IntervalKeyframePolicy::isKeyframe(const KeyframeQuery &query) const
 {
     return query.frameIndex % interval_ == 0;
 }
@@ -26,7 +26,7 @@ PoseDistanceKeyframePolicy::PoseDistanceKeyframePolicy(Real trans_threshold,
 }
 
 bool
-PoseDistanceKeyframePolicy::isKeyframe(const KeyframeQuery &query)
+PoseDistanceKeyframePolicy::isKeyframe(const KeyframeQuery &query) const
 {
     if (query.frameIndex == 0)
         return true;
@@ -44,7 +44,7 @@ PhotometricKeyframePolicy::PhotometricKeyframePolicy(Real rmse_threshold)
 }
 
 bool
-PhotometricKeyframePolicy::isKeyframe(const KeyframeQuery &query)
+PhotometricKeyframePolicy::isKeyframe(const KeyframeQuery &query) const
 {
     if (query.frameIndex == 0 || !query.currentImage ||
         !query.lastKeyframeImage) {

@@ -35,7 +35,7 @@ class KeyframePolicy
     virtual ~KeyframePolicy() = default;
 
     /** Decide whether the queried frame becomes a keyframe. */
-    virtual bool isKeyframe(const KeyframeQuery &query) = 0;
+    virtual bool isKeyframe(const KeyframeQuery &query) const = 0;
 
     /** Human-readable policy name for reports. */
     virtual const char *name() const = 0;
@@ -46,7 +46,7 @@ class IntervalKeyframePolicy : public KeyframePolicy
 {
   public:
     explicit IntervalKeyframePolicy(u32 interval);
-    bool isKeyframe(const KeyframeQuery &query) override;
+    bool isKeyframe(const KeyframeQuery &query) const override;
     const char *name() const override { return "interval"; }
 
   private:
@@ -58,7 +58,7 @@ class PoseDistanceKeyframePolicy : public KeyframePolicy
 {
   public:
     PoseDistanceKeyframePolicy(Real trans_threshold, Real rot_threshold);
-    bool isKeyframe(const KeyframeQuery &query) override;
+    bool isKeyframe(const KeyframeQuery &query) const override;
     const char *name() const override { return "pose-distance"; }
 
   private:
@@ -71,7 +71,7 @@ class PhotometricKeyframePolicy : public KeyframePolicy
 {
   public:
     explicit PhotometricKeyframePolicy(Real rmse_threshold);
-    bool isKeyframe(const KeyframeQuery &query) override;
+    bool isKeyframe(const KeyframeQuery &query) const override;
     const char *name() const override { return "photometric"; }
 
   private:
@@ -82,7 +82,7 @@ class PhotometricKeyframePolicy : public KeyframePolicy
 class EveryFrameKeyframePolicy : public KeyframePolicy
 {
   public:
-    bool isKeyframe(const KeyframeQuery &) override { return true; }
+    bool isKeyframe(const KeyframeQuery &) const override { return true; }
     const char *name() const override { return "every-frame"; }
 };
 

@@ -9,7 +9,8 @@ namespace rtgs::slam
 MapWorker::MapWorker(size_t queue_depth, size_t batch_size, RunFn run,
                      ThreadPool &pool, OverflowPolicy policy,
                      double watchdog_seconds, DropFn on_drop)
-    : queue_(queue_depth), batchSize_(batch_size == 0 ? 1 : batch_size),
+    : inPlace_(queue_depth == 0), queue_(queue_depth),
+      batchSize_(batch_size == 0 ? 1 : batch_size),
       run_(std::move(run)), policy_(policy),
       watchdogSeconds_(watchdog_seconds), onDrop_(std::move(on_drop)),
       pool_(pool)
@@ -25,6 +26,12 @@ MapWorker::~MapWorker()
 void
 MapWorker::enqueue(MapJob job)
 {
+    if (inPlace_) {
+        std::vector<MapJob> batch;
+        batch.push_back(std::move(job));
+        run_(batch);
+        return;
+    }
     // Count before pushing so completed_ can never transiently exceed
     // submitted_ (the drainer may pop-and-finish the job before this
     // thread reacquires statusMutex_).

@@ -3,9 +3,12 @@
  * The enqueue-map stage: a bounded keyframe work queue whose jobs run
  * asynchronously on the owning system's ThreadPool, overlapping mapping
  * with the tracking of subsequent frames (the loop-level restructuring
- * CaRtGS / RTG-SLAM use to reach real time).
+ * CaRtGS / RTG-SLAM use to reach real time). With queue depth 0 the
+ * same jobs run in place instead: enqueue() runs each as a one-job
+ * batch on the caller, so sync mapping is the async path drained in
+ * place rather than a second code path.
  *
- * Threading model:
+ * Threading model (queue depth >= 1):
  *  - The frame loop (producer) pushes one MapJob per keyframe; when
  *    `queue_depth` jobs are already pending the overflow policy
  *    decides: Block (bounded-staleness backpressure, the default,
@@ -54,12 +57,18 @@ class ThreadPool;
 namespace rtgs::slam
 {
 
-/** One unit of asynchronous mapping work. */
+/** One unit of mapping work. */
 struct MapJob
 {
     KeyframeRecord record;
     u32 mapIterationBudget = 0; //!< 0 = mapper config default
     size_t reportIndex = 0;     //!< row in SlamSystem::reports_ to fill
+    /** Stable ids the tracking clone had masked at enqueue (ascending);
+     *  the batch masks them in the map before optimising. */
+    std::vector<u64> maskedIds;
+    /** Tracking prune requests made before enqueue; the batch folds in
+     *  exactly these (later ones wait for the next batch or flush). */
+    u64 prunesBefore = 0;
 };
 
 /**
@@ -90,9 +99,12 @@ class MapWorker
 
     /**
      * @param queue_depth max pending jobs before the overflow policy
-     *                    engages (>= 1)
+     *                    engages; 0 runs every job in place inside
+     *                    enqueue() (no queue, no drain task, nothing
+     *                    ever dropped)
      * @param batch_size  max jobs popped per drain iteration (>= 1)
-     * @param run         executes one batch (called on a pool worker)
+     * @param run         executes one batch (on a pool worker, or on
+     *                    the enqueue() caller at depth 0)
      * @param pool        where drain tasks run: the owning system's
      *                    pool, which in a fleet is the one pool every
      *                    session shares. Must outlive this worker.
@@ -113,7 +125,9 @@ class MapWorker
     MapWorker &operator=(const MapWorker &) = delete;
 
     /**
-     * Submit a job. With the Block policy this blocks while the queue
+     * Submit a job. At queue depth 0 this runs the job before it
+     * returns (an exception from the batch propagates to the caller).
+     * Otherwise, with the Block policy this blocks while the queue
      * is at capacity (up to the watchdog timeout when one is set);
      * with DropOldest it never blocks.
      */
@@ -134,6 +148,8 @@ class MapWorker
   private:
     void drainLoop();
 
+    /** Queue depth 0: enqueue() runs each job in place. */
+    bool inPlace_;
     BoundedQueue<MapJob> queue_;
     size_t batchSize_;
     RunFn run_;

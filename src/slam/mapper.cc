@@ -8,8 +8,9 @@
 namespace rtgs::slam
 {
 
-Mapper::Mapper(const MapperConfig &config)
-    : config_(config), optimizer_(config.learningRates)
+Mapper::Mapper(const MapperConfig &config, u32 multi_view_window)
+    : config_(config), multiViewWindow_(multi_view_window),
+      optimizer_(config.learningRates)
 {
 }
 
@@ -141,7 +142,7 @@ Mapper::mapIterations(const gs::RenderPipeline &pipeline,
     double final_loss = 0;
     for (u32 it = 0; it < max_iters; ++it) {
         std::vector<size_t> views = multiViewSelection(
-            window_.size(), it, config_.multiViewWindow);
+            window_.size(), it, multiViewWindow_);
         lastStepViews_ = static_cast<u32>(views.size());
 
         // The newest view is selected last; its loss is the step's

@@ -35,19 +35,6 @@ struct MapperConfig
     u32 iterations = 15;
     /** Keyframes kept in the optimisation window. */
     u32 windowSize = 3;
-    /**
-     * Multi-view window B: how many window keyframes each optimiser
-     * step renders. 0 (the default) and 1 both run the sequential
-     * newest/rest alternation — one view per step, byte-identical to
-     * the pre-multi-view recipe. B >= 2 renders min(B, windowSize)
-     * views per step (the newest keyframe plus a rotating selection of
-     * the rest), sums their gradients deterministically, and applies
-     * one averaged update; one view's forward overlaps another's
-     * backward through the thread pool. Changes numerics for B >= 2 —
-     * see the bench_fig15 multi-view ablation. SlamSystem overrides
-     * this field from SlamConfig::multiViewWindow.
-     */
-    u32 multiViewWindow = 0;
     MapLearningRates learningRates;
     LossConfig loss;
 
@@ -86,7 +73,7 @@ struct MapBatchItem
     double mapLoss = 0;      //!< final loss for this keyframe
     size_t densified = 0;    //!< Gaussians inserted for this keyframe
     /** Views rendered by this keyframe's final optimiser step (1 on
-     *  the sequential path; up to multiViewWindow once the window has
+     *  the sequential path; up to the multi-view window once it has
      *  filled). */
     u32 multiViews = 0;
 };
@@ -95,10 +82,20 @@ struct MapBatchItem
 class Mapper
 {
   public:
-    explicit Mapper(const MapperConfig &config = {});
+    /**
+     * @param multi_view_window how many window keyframes each optimiser
+     *        step renders (SlamConfig::multiViewWindow). 0 and 1 both
+     *        run the sequential newest/rest alternation — one view per
+     *        step. B >= 2 renders min(B, windowSize) views per step
+     *        (the newest keyframe plus a rotating selection of the
+     *        rest), sums their gradients deterministically, and applies
+     *        one averaged update; one view's forward overlaps another's
+     *        backward through the thread pool. Changes numerics for
+     *        B >= 2 — see the bench_fig15 multi-view ablation.
+     */
+    Mapper(const MapperConfig &config, u32 multi_view_window);
 
     const MapperConfig &config() const { return config_; }
-    MapperConfig &config() { return config_; }
 
     /** Keyframes currently in the window. */
     const std::deque<KeyframeRecord> &window() const { return window_; }
@@ -124,8 +121,8 @@ class Mapper
      * batch, so sync/async byte-identity holds by construction; larger
      * batches amortise the per-drain setup the asynchronous map worker
      * would otherwise pay per job. Per-item iteration budgets cap the
-     * configured count (0 keeps it; never raises it). With
-     * multiViewWindow >= 2 the optimise stage runs multi-view steps
+     * configured count (0 keeps it; never raises it). With a
+     * multi-view window >= 2 the optimise stage runs multi-view steps
      * (several window keyframes per averaged update — see
      * src/slam/README.md); <= 1 keeps the sequential alternation.
      */
@@ -170,6 +167,7 @@ class Mapper
                          gs::BackwardResult &back);
 
     MapperConfig config_;
+    u32 multiViewWindow_;
     std::deque<KeyframeRecord> window_;
     MapOptimizer optimizer_;
     /** Per-view scratch for multi-view steps (views beyond the first

@@ -44,6 +44,41 @@ solve6(double h[6][6], double b[6], double x[6])
     return true;
 }
 
+/** Stable ids of the masked (active == 0) entries, ascending. */
+std::vector<u64>
+maskedIds(const gs::GaussianCloud &cloud)
+{
+    std::vector<u64> masked;
+    const auto &act = cloud.active.view();
+    const auto &ids = cloud.ids.view();
+    for (size_t k = 0; k < act.size(); ++k)
+        if (!act[k])
+            masked.push_back(ids[k]); // ascending: ids are sorted
+    return masked;
+}
+
+/** Set active = 0 on the entries whose stable ids are in `ids`
+ *  (ascending; ids the cloud lacks are skipped). Re-materialises the
+ *  active column only when an entry changes; returns whether one did. */
+bool
+maskIds(gs::GaussianCloud &cloud, const std::vector<u64> &ids)
+{
+    if (ids.empty())
+        return false;
+    std::vector<u8> unmasked = cloud.translateKeepMask(ids);
+    const auto &act = cloud.active.view();
+    bool changed = false;
+    for (size_t k = 0; k < unmasked.size() && !changed; ++k)
+        changed = !unmasked[k] && act[k];
+    if (!changed)
+        return false;
+    auto &mut = cloud.active.mut();
+    for (size_t k = 0; k < unmasked.size(); ++k)
+        if (!unmasked[k])
+            mut[k] = 0;
+    return true;
+}
+
 } // namespace
 
 const char *
@@ -99,13 +134,10 @@ SlamSystem::SlamSystem(const SlamConfig &config,
                        const Intrinsics &intrinsics)
     : ownedPool_(config.pool ? nullptr : std::make_unique<ThreadPool>()),
       config_(config), intrinsics_(intrinsics),
-      tracker_(config.tracker), mapper_(config.mapper)
+      tracker_(config.tracker),
+      mapper_(config.mapper, config.multiViewWindow)
 {
     ThreadPool &pool = config.pool ? *config.pool : *ownedPool_;
-    // SlamConfig::multiViewWindow is the authoritative multi-view
-    // knob at this layer; it overrides whatever the embedded mapper
-    // config carried.
-    config_.mapper.multiViewWindow = config.multiViewWindow;
 
     gs::RenderSettings settings;
     settings.background = {0.03f, 0.03f, 0.05f};
@@ -117,8 +149,6 @@ SlamSystem::SlamSystem(const SlamConfig &config,
         // No worker can exist yet; the lock just keeps the guarded
         // accesses uniform for the static analysis.
         MutexLock lock(stateMutex_);
-        mapper_.config().multiViewWindow = config.multiViewWindow;
-
         // The preset's storage side: narrow the low-sensitivity columns
         // of the authoritative cloud. Every COW snapshot / tracking
         // clone copies the column (and its precision) wholesale, so
@@ -144,20 +174,18 @@ SlamSystem::SlamSystem(const SlamConfig &config,
         break;
     }
 
-    if (config.mapQueueDepth > 0) {
-        // Evicted jobs never run; mark their report rows so drops are
-        // accounted instead of silently reading as unmapped keyframes.
-        MapWorker::DropFn on_drop = [this](MapJob &job) {
-            MutexLock lock(reportMutex_);
-            rtgs_assert(job.reportIndex < reports_.size());
-            reports_[job.reportIndex].mapJobDropped = true;
-        };
-        mapWorker_ = std::make_unique<MapWorker>(
-            config.mapQueueDepth, std::max<u32>(1, config.mapBatchSize),
-            [this](std::vector<MapJob> &jobs) { runMapBatch(jobs); },
-            pool, config.mapOverflowPolicy, config.mapWatchdogSeconds,
-            std::move(on_drop));
-    }
+    // Evicted jobs never run; mark their report rows so drops are
+    // accounted instead of silently reading as unmapped keyframes.
+    MapWorker::DropFn on_drop = [this](MapJob &job) {
+        MutexLock lock(reportMutex_);
+        rtgs_assert(job.reportIndex < reports_.size());
+        reports_[job.reportIndex].mapJobDropped = true;
+    };
+    mapWorker_ = std::make_unique<MapWorker>(
+        config.mapQueueDepth, std::max<u32>(1, config.mapBatchSize),
+        [this](std::vector<MapJob> &jobs) { runMapBatch(jobs); }, pool,
+        config.mapOverflowPolicy, config.mapWatchdogSeconds,
+        std::move(on_drop));
 
     if (config.health.enabled)
         health_ = std::make_unique<HealthMonitor>(config.health);
@@ -174,39 +202,25 @@ SlamSystem::SlamSystem(const SlamConfig &config,
 void
 SlamSystem::waitForMapping()
 {
-    if (!mapWorker_)
-        return;
     mapWorker_->drain();
-    // Prunes requested after the last map batch have no job left to
-    // carry them; fold them in now so cloud() honours every tracking
-    // decision once this returns.
-    if (pendingPruneCount() > 0) {
-        MutexLock lock(stateMutex_);
-        applyPendingPrunesLocked();
-        // Publish even when the translation dropped nothing: apply
-        // marked the requests as applied-in the next generation, and
-        // that generation must exist for clone refreshes to garbage-
-        // collect them (a COW publish costs refcount bumps).
+    // Prunes requested and masks set after the last map job was
+    // enqueued have no job left to carry them; fold them in now so
+    // cloud() honours every tracking decision once this returns.
+    std::vector<u64> masked = maskedIds(trackCloud_);
+    MutexLock lock(stateMutex_);
+    bool folded = applyPendingPrunesLocked(~u64(0));
+    bool masks_changed = maskIds(cloud_, masked);
+    // Publish even when a folded request dropped nothing: apply marked
+    // it as applied-in the next generation, and that generation must
+    // exist for clone refreshes to garbage-collect it (a COW publish
+    // costs refcount bumps).
+    if (folded || masks_changed)
         publishSnapshotLocked(lastPublishedFrame_);
-    }
-}
-
-gs::GaussianCloud &
-SlamSystem::trackingCloud()
-{
-    return mapWorker_ ? trackCloud_ : syncCloud();
-}
-
-const gs::GaussianCloud &
-SlamSystem::trackingCloud() const
-{
-    return mapWorker_ ? trackCloud_ : syncCloud();
 }
 
 void
 SlamSystem::requestTrackingPrune(const std::vector<u8> &keep)
 {
-    rtgs_assert(mapWorker_ != nullptr);
     rtgs_assert(keep.size() == trackCloud_.size());
     PendingPrune prune;
     const auto &ids = trackCloud_.ids.view();
@@ -216,6 +230,7 @@ SlamSystem::requestTrackingPrune(const std::vector<u8> &keep)
     if (prune.ids.empty())
         return;
     MutexLock lock(pruneMutex_);
+    prune.seq = prunesRequested_++;
     pendingPrunes_.push_back(std::move(prune));
 }
 
@@ -239,32 +254,31 @@ SlamSystem::rebindFrameLoopThread()
 }
 
 bool
-SlamSystem::applyPendingPrunesLocked()
+SlamSystem::applyPendingPrunesLocked(u64 before)
 {
     std::vector<u64> dropped;
+    bool folded = false;
     {
         MutexLock lock(pruneMutex_);
         for (PendingPrune &p : pendingPrunes_) {
-            if (p.appliedInGeneration != 0)
+            if (p.appliedInGeneration != 0 || p.seq >= before)
                 continue;
             dropped.insert(dropped.end(), p.ids.begin(), p.ids.end());
             // The generation this batch/flush publishes next; clone
             // refreshes garbage-collect the entry once a snapshot of at
             // least that generation is visible.
             p.appliedInGeneration = mapGeneration_ + 1;
+            folded = true;
         }
     }
-    if (dropped.empty())
+    if (!folded)
         return false;
     std::sort(dropped.begin(), dropped.end());
     std::vector<u8> keep = cloud_.translateKeepMask(dropped);
-    size_t removed = 0;
-    for (u8 k : keep)
-        removed += k ? 0 : 1;
-    if (removed == 0)
-        return false;
-    cloud_.compact(keep);
-    mapper_.remapOptimizer(keep);
+    if (std::find(keep.begin(), keep.end(), u8(0)) != keep.end()) {
+        cloud_.compact(keep);
+        mapper_.remapOptimizer(keep);
+    }
     return true;
 }
 
@@ -461,8 +475,22 @@ SlamSystem::geometricTrack(const data::Frame &frame,
     return cam_to_world.inverse();
 }
 
+KeyframeQuery
+SlamSystem::keyframeQuery(const data::Frame &frame, const SE3 &pose) const
+{
+    KeyframeQuery query;
+    query.frameIndex = frame.index;
+    query.lastKeyframeIndex = lastKeyframeIndex_;
+    query.currentPose = pose;
+    query.lastKeyframePose = lastKeyframePose_;
+    query.currentImage = &frame.rgb;
+    query.lastKeyframeImage =
+        lastKeyframeImage_.empty() ? nullptr : &lastKeyframeImage_;
+    return query;
+}
+
 bool
-SlamSystem::decideKeyframe(const KeyframeQuery &query)
+SlamSystem::decideKeyframe(const KeyframeQuery &query) const
 {
     return query.frameIndex == 0 || keyframePolicy_->isKeyframe(query);
 }
@@ -472,18 +500,8 @@ SlamSystem::predictKeyframe(const data::Frame &frame) const
 {
     if (!bootstrapped_)
         return true;
-    KeyframeQuery query;
-    query.frameIndex = frame.index;
-    query.lastKeyframeIndex = lastKeyframeIndex_;
-    query.currentPose = constantVelocityGuess();
-    query.lastKeyframePose = lastKeyframePose_;
-    query.currentImage = &frame.rgb;
-    query.lastKeyframeImage =
-        lastKeyframeImage_.empty() ? nullptr : &lastKeyframeImage_;
-    // The policy objects are stateless; const_cast avoids duplicating
-    // the decision path for the prediction-only call.
-    auto *policy = const_cast<KeyframePolicy *>(keyframePolicy_.get());
-    return policy->isKeyframe(query);
+    return keyframePolicy_->isKeyframe(
+        keyframeQuery(frame, constantVelocityGuess()));
 }
 
 SE3
@@ -515,23 +533,16 @@ SlamSystem::stageTrack(const data::Frame &frame, Real tracking_scale,
         // against a blanked sensor.
         const ImageF *depth = ignore_depth ? nullptr : &obs.depth();
         Tracker &tracker = tracker_override ? *tracker_override : tracker_;
-        TrackResult tr;
-        if (mapWorker_) {
-            // Async mode: render against a copy-on-write clone of the
-            // latest published snapshot (O(columns), no cloud copy) so
-            // the map stage can mutate the authoritative cloud
-            // concurrently. The clone is mutable on purpose: the RTGS
-            // pruning hook masks/compacts it mid-frame exactly as it
-            // would the authoritative cloud in sync mode.
-            refreshTrackingClone(frame, report);
-            tr = tracker.track(pipeline_, trackCloud_, obs.intr, guess,
-                               obs.rgb(), depth, trackHook_,
-                               track_budget, allow_exceed);
-        } else {
-            tr = tracker.track(pipeline_, syncCloud(), obs.intr, guess,
-                               obs.rgb(), depth, trackHook_,
-                               track_budget, allow_exceed);
-        }
+        // Render against a copy-on-write clone of the latest published
+        // snapshot (O(columns), no cloud copy) so the map stage can
+        // mutate the authoritative cloud concurrently. The clone is
+        // mutable on purpose: the RTGS pruning hook masks/compacts it
+        // mid-frame, and map jobs and flushes carry those decisions
+        // over to the authoritative cloud.
+        refreshTrackingClone(frame, report);
+        TrackResult tr = tracker.track(pipeline_, trackCloud_, obs.intr,
+                                       guess, obs.rgb(), depth, trackHook_,
+                                       track_budget, allow_exceed);
         pose = tr.pose;
         report.trackLoss = tr.finalLoss;
         report.trackIterations = tr.iterationsRun;
@@ -550,54 +561,7 @@ SlamSystem::stageKeyframeDecision(const data::Frame &frame,
         return frame.index == 0 || *force_keyframe;
 
     // Keyframe decision uses the tracked pose and current image.
-    KeyframeQuery query;
-    query.frameIndex = frame.index;
-    query.lastKeyframeIndex = lastKeyframeIndex_;
-    query.currentPose = pose;
-    query.lastKeyframePose = lastKeyframePose_;
-    query.currentImage = &frame.rgb;
-    query.lastKeyframeImage =
-        lastKeyframeImage_.empty() ? nullptr : &lastKeyframeImage_;
-    return decideKeyframe(query);
-}
-
-double
-SlamSystem::mapKeyframe(KeyframeRecord record, u32 iteration_budget,
-                        FrameReport &report)
-{
-    // One-item batch: Mapper::mapBatch is the single authoritative
-    // copy of the mapping recipe (densify -> admit -> optimise ->
-    // prune transparent) for both the sync and async paths.
-    std::vector<MapBatchItem> items(1);
-    items[0].record = std::move(record);
-    items[0].iterationBudget = iteration_budget;
-    mapper_.mapBatch(pipeline_, cloud_, intrinsics_, items, mapHook_);
-    report.densified = items[0].densified;
-    report.mapMultiViews = items[0].multiViews;
-    return items[0].mapLoss;
-}
-
-void
-SlamSystem::stageMapSync(const data::Frame &frame, const SE3 &pose,
-                         const FrameBudget *budget, FrameReport &report)
-{
-    Stopwatch watch;
-    StageProfiler::Scope scope(profiler_, "mapping");
-    {
-        // No worker exists in sync mode, so the lock is uncontended;
-        // it discharges mapKeyframe()'s REQUIRES(stateMutex_). Map
-        // hooks that fire inside only use the lock-free cloud()
-        // accessor, matching the async path's locking.
-        MutexLock lock(stateMutex_);
-        report.mapLoss =
-            mapKeyframe(KeyframeRecord{frame.index, pose, frame.rgb,
-                                       frame.depth},
-                        budget ? budget->mapIterations : 0, report);
-    }
-    lastKeyframeIndex_ = frame.index;
-    lastKeyframeImage_ = frame.rgb;
-    lastKeyframePose_ = pose;
-    report.mapSeconds = watch.seconds();
+    return decideKeyframe(keyframeQuery(frame, pose));
 }
 
 void
@@ -606,7 +570,7 @@ SlamSystem::stageEnqueueMap(const data::Frame &frame, const SE3 &pose,
                             size_t report_index)
 {
     // Caller-side keyframe state is recorded at enqueue time, so the
-    // keyframe policy sees exactly what the sync path would show it.
+    // keyframe policy never depends on when the job runs.
     lastKeyframeIndex_ = frame.index;
     lastKeyframeImage_ = frame.rgb;
     lastKeyframePose_ = pose;
@@ -615,6 +579,13 @@ SlamSystem::stageEnqueueMap(const data::Frame &frame, const SE3 &pose,
     job.record = KeyframeRecord{frame.index, pose, frame.rgb, frame.depth};
     job.mapIterationBudget = budget ? budget->mapIterations : 0;
     job.reportIndex = report_index;
+    // What tracking has decided so far, fixed at enqueue so the job's
+    // result never depends on how far the frame loop got meanwhile.
+    job.maskedIds = maskedIds(trackCloud_);
+    {
+        MutexLock lock(pruneMutex_);
+        job.prunesBefore = prunesRequested_;
+    }
     mapWorker_->enqueue(std::move(job));
 }
 
@@ -631,9 +602,11 @@ SlamSystem::runMapBatch(std::vector<MapJob> &jobs)
     u64 generation;
     {
         MutexLock lock(stateMutex_);
-        // Fold tracking-side prune decisions in first so this batch
-        // optimises the cloud the tracker actually kept.
-        applyPendingPrunesLocked();
+        // Fold tracking-side prune and mask decisions in first so this
+        // batch optimises the cloud the tracker actually kept, and
+        // never renders what the tracker masked.
+        applyPendingPrunesLocked(jobs.back().prunesBefore);
+        maskIds(cloud_, jobs.back().maskedIds);
 
         for (size_t j = 0; j < jobs.size(); ++j) {
             items[j].record = std::move(jobs[j].record);
@@ -707,19 +680,12 @@ SlamSystem::refreshTrackingClone(const data::Frame &frame,
         return;
     }
 
-    // Tracking-side mask state (the RTGS pruner's grace-interval masks)
-    // lives only in the clone's active column; collect it before the
-    // refresh so it persists across frames by stable id, exactly as a
-    // mask persists in the authoritative cloud in sync mode. The scan
-    // is a byte pass and masked_prev is empty whenever pruning is off.
-    std::vector<u64> masked_prev;
-    {
-        const auto &act = trackCloud_.active.view();
-        const auto &ids = trackCloud_.ids.view();
-        for (size_t k = 0; k < act.size(); ++k)
-            if (!act[k])
-                masked_prev.push_back(ids[k]); // ascending
-    }
+    // Masks no map job or flush has folded in yet (the RTGS pruner's
+    // grace-interval masks) live only in the clone's active column;
+    // collect them before the refresh so they persist across frames by
+    // stable id. The scan is a byte pass and masked_prev is empty
+    // whenever pruning is off.
+    std::vector<u64> masked_prev = maskedIds(trackCloud_);
 
     trackCloud_ = snap->cloud; // COW: one refcount bump per column
     trackCloneGeneration_ = snap->generation;
@@ -752,19 +718,9 @@ SlamSystem::refreshTrackingClone(const data::Frame &frame,
         trackCloud_.compact(trackCloud_.translateKeepMask(dropped));
     }
 
-    if (!masked_prev.empty()) {
-        // Re-apply surviving masks (ids the map has since pruned
-        // simply don't match and stay kept in the translated mask).
-        std::vector<u8> unmasked =
-            trackCloud_.translateKeepMask(masked_prev);
-        if (std::find(unmasked.begin(), unmasked.end(), u8(0)) !=
-            unmasked.end()) {
-            auto &act = trackCloud_.active.mut();
-            for (size_t k = 0; k < unmasked.size(); ++k)
-                if (!unmasked[k])
-                    act[k] = 0;
-        }
-    }
+    // Re-apply surviving masks (ids the map has since pruned simply
+    // don't match).
+    maskIds(trackCloud_, masked_prev);
 
     report.snapshotGeneration = snap->generation;
     report.snapshotStaleFrames =
@@ -773,33 +729,27 @@ SlamSystem::refreshTrackingClone(const data::Frame &frame,
             : 0;
 }
 
-void
-SlamSystem::fillMapFootprint(FrameReport &report)
+size_t
+SlamSystem::pushReport(FrameReport &report)
 {
-    if (!mapWorker_) {
-        // Sync mode: the frame loop is the only mutator, so taking the
-        // state lock here is uncontended and keeps the guarded reads
-        // honest under the thread-safety analysis.
-        MutexLock lock(stateMutex_);
-        report.gaussianCount = cloud_.size();
-        report.gaussianBytes = cloud_.parameterBytes();
-        peakBytes_ = std::max(peakBytes_, report.gaussianBytes);
-    } else {
-        // Async: never touch stateMutex_ from the frame loop (an
-        // in-flight batch holds it for its whole duration). Report the
-        // latest *published* map's footprint; keyframe rows get their
-        // exact post-map numbers from the worker, and the worker also
-        // maintains the peak.
-        std::shared_ptr<const TrackingSnapshot> snap;
-        {
-            MutexLock lock(snapshotMutex_);
-            snap = trackingSnapshot_;
-        }
-        if (snap) {
-            report.gaussianCount = snap->cloud.size();
-            report.gaussianBytes = snap->cloud.parameterBytes();
-        }
+    if (config_.mapQueueDepth == 0)
+        waitForMapping(); // no job in flight: only the flush runs
+    // Never touch stateMutex_ here (an in-flight async batch holds it
+    // for its whole duration): report the latest *published* map's
+    // footprint. Keyframe rows get their exact post-map numbers from
+    // the batch, which also maintains the peak.
+    std::shared_ptr<const TrackingSnapshot> snap;
+    {
+        MutexLock lock(snapshotMutex_);
+        snap = trackingSnapshot_;
     }
+    if (snap) {
+        report.gaussianCount = snap->cloud.size();
+        report.gaussianBytes = snap->cloud.parameterBytes();
+    }
+    MutexLock lock(reportMutex_);
+    reports_.push_back(report);
+    return reports_.size() - 1;
 }
 
 FrameReport
@@ -818,9 +768,7 @@ SlamSystem::rejectFrame(FrameReport &report)
     report.framesSinceHealthy = health_->framesSinceHealthy();
     report.framesLost = health_->framesLost();
     trajectory_.push_back(pose);
-    fillMapFootprint(report);
-    MutexLock lock(reportMutex_);
-    reports_.push_back(report);
+    pushReport(report);
     return report;
 }
 
@@ -828,24 +776,20 @@ double
 SlamSystem::probePsnr(const data::Frame &frame, const SE3 &pose)
 {
     // Pick a readable map without touching stateMutex_ (an in-flight
-    // async batch may hold it for seconds): the frame loop's tracking
-    // clone when it exists, else the newest published snapshot (the
-    // geometric backend never clones), else the authoritative cloud in
-    // sync mode, where the frame loop is the only mutator.
+    // async batch may hold it for seconds): the tracking clone this
+    // frame rendered, or for the geometric backend, which renders
+    // nothing (its clone is only refreshed by relocalization and may
+    // be stale), the newest published snapshot.
     std::shared_ptr<const TrackingSnapshot> snap;
-    const gs::GaussianCloud *cloud = &syncCloud();
-    if (mapWorker_) {
-        if (!trackCloud_.empty()) {
-            cloud = &trackCloud_;
-        } else {
-            {
-                MutexLock lock(snapshotMutex_);
-                snap = trackingSnapshot_;
-            }
-            if (!snap)
-                return -1;
-            cloud = &snap->cloud;
+    const gs::GaussianCloud *cloud = &trackCloud_;
+    if (config_.algorithm == BaseAlgorithm::PhotoSlam) {
+        {
+            MutexLock lock(snapshotMutex_);
+            snap = trackingSnapshot_;
         }
+        if (!snap)
+            return -1;
+        cloud = &snap->cloud;
     }
     if (cloud->empty())
         return -1;
@@ -869,12 +813,10 @@ SlamSystem::stageRelocalize(const data::Frame &frame,
 {
     StageProfiler::Scope scope(profiler_, "relocalize");
     // Score against what tracking would render against: the COW clone
-    // of the newest published snapshot in async mode (refreshing it
-    // here never blocks an in-flight map batch), the authoritative
-    // cloud in sync mode where the frame loop is the only mutator.
-    if (mapWorker_)
-        refreshTrackingClone(frame, report);
-    const gs::GaussianCloud &cloud = trackingCloud();
+    // of the newest published snapshot (refreshing it here never
+    // blocks an in-flight map batch).
+    refreshTrackingClone(frame, report);
+    const gs::GaussianCloud &cloud = trackCloud_;
     if (cloud.empty())
         return false; // nothing to search against yet; retry next frame
 
@@ -1078,32 +1020,21 @@ SlamSystem::processFrame(const data::Frame &frame, Real tracking_scale,
     if (reloc_ && report.isKeyframe)
         reloc_->noteKeyframe(frame.index, pose, frame.rgb);
 
-    bool async_map = report.isKeyframe && mapWorker_ != nullptr;
-    if (report.isKeyframe && !async_map)
-        stageMapSync(frame, pose, budget, report);
-    report.mappedAsync = async_map;
+    report.mappedAsync = report.isKeyframe && config_.mapQueueDepth > 0;
 
     if (!report.poseHeld) {
         prevDepth_ = frame.depth;
         prevPose_ = pose;
     }
 
-    fillMapFootprint(report);
-
-    size_t report_index;
-    {
-        MutexLock lock(reportMutex_);
-        report_index = reports_.size();
-        reports_.push_back(report);
-    }
-
-    if (async_map) {
-        stageEnqueueMap(frame, pose, budget, report_index);
-        // The job may already have completed; return the freshest view.
-        MutexLock lock(reportMutex_);
-        return reports_[report_index];
-    }
-    return report;
+    size_t report_index = pushReport(report);
+    if (!report.isKeyframe)
+        return report;
+    stageEnqueueMap(frame, pose, budget, report_index);
+    // The job has run in place (sync) or may already have completed
+    // (async); return the freshest view.
+    MutexLock lock(reportMutex_);
+    return reports_[report_index];
 }
 
 ImageRGB

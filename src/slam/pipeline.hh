@@ -64,9 +64,10 @@ struct SlamConfig
     u32 icpStride = 4;
 
     /**
-     * Asynchronous-mapping queue depth. 0 (the default) runs mapping
-     * synchronously inside processFrame, exactly reproducing the
-     * monolithic loop; >= 1 runs keyframe mapping on the system's
+     * Asynchronous-mapping queue depth. 0 (the default) folds each
+     * frame's tracking-side prunes and masks into the map and runs its
+     * keyframe map job in place inside processFrame — the drained
+     * async run, exactly reproducing the monolithic loop; >= 1 runs keyframe mapping on the system's
      * pool behind a bounded queue of this depth, overlapping it
      * with the tracking of subsequent frames. See src/slam/README.md
      * for the threading/ownership model.
@@ -97,8 +98,7 @@ struct SlamConfig
      * applies a single averaged update, overlapping one view's forward
      * with another's backward through the pool. B >= 2 changes the
      * numerics; the bench_fig15 multi-view ablation records the
-     * wall-clock/PSNR trade. Authoritative: copied over
-     * mapper.multiViewWindow at construction.
+     * wall-clock/PSNR trade. Handed to the Mapper at construction.
      */
     u32 multiViewWindow = 0;
 
@@ -202,7 +202,7 @@ struct FrameReport
      */
     bool mappedAsync = false;
 
-    // Copy-on-write snapshot observability (async mode only).
+    // Copy-on-write snapshot observability.
     u64 snapshotGeneration = 0;  //!< map generation tracking rendered
     /** Generation this keyframe's map batch published on completion
      *  (worker-filled; 0 on non-keyframe rows). */
@@ -213,7 +213,8 @@ struct FrameReport
     /** Wall time of the snapshot publication this keyframe's batch
      *  performed (only set on the batch's last keyframe row). */
     double snapshotPublishSeconds = 0;
-    /** Jobs in the drain batch that mapped this keyframe (async). */
+    /** Jobs in the drain batch that mapped this keyframe (1 in sync
+     *  mode). */
     u32 mapBatchJobs = 0;
     /** Views rendered by this keyframe's final map optimiser step
      *  (1 on the sequential path, up to multiViewWindow once the
@@ -263,14 +264,16 @@ struct FrameReport
 
 /**
  * Aggregate COW-snapshot observability over a run's reports (shared by
- * the examples and benches). Feed every row through add(); rows from
- * sync-mode runs contribute nothing.
+ * the examples and benches). Feed every row through add(). Sync-mode
+ * rows count too: a sync run publishes and clones snapshots exactly as
+ * a drained async run does.
  */
 struct SnapshotStats
 {
     /** Total publication wall time recorded in keyframe rows. The
-     *  rare trailing publication waitForMapping performs to flush a
-     *  post-batch prune has no report row and is not attributed. */
+     *  publications waitForMapping's flush performs to fold in prunes
+     *  and masks made after the last batch have no report row and are
+     *  not attributed. */
     double publishSeconds = 0;
     u64 publishes = 0;         //!< highest published generation seen
     u64 staleSum = 0;
@@ -316,15 +319,20 @@ struct TrackingSnapshot
  *
  *   preprocess -> track -> keyframe decision -> enqueue-map -> map
  *
- * With config.mapQueueDepth == 0 every stage runs inline on the caller
- * thread, byte-identical to the original monolithic loop. With a
- * positive depth the map stage runs asynchronously on the system's
- * pool (SlamConfig::pool) behind a bounded keyframe queue; each drain
+ * There is one map path. Tracking always renders against a
+ * copy-on-write clone of the newest published snapshot, and keyframe
+ * mapping is always a MapJob run through the same batch body, which
+ * folds in tracking-side prunes and masks, maps, and publishes a new
+ * snapshot. With config.mapQueueDepth == 0 processFrame runs the flush
+ * waitForMapping() performs and then the job, in place on the caller
+ * thread, so a sync run IS a drained async run
+ * (byte-identical to the original monolithic loop). With a positive
+ * depth the map stage runs asynchronously on the system's pool
+ * (SlamConfig::pool) behind a bounded keyframe queue; each drain
  * iteration pops up to config.mapBatchSize queued keyframes and maps
- * them as one batch. Tracking renders against a copy-on-write clone of
- * the newest published snapshot taken under the snapshot lock. In
- * async mode, call waitForMapping() before reading cloud()/reports()
- * (the map-iteration hook also fires on a pool worker then).
+ * them as one batch. In async mode, call waitForMapping() before
+ * reading cloud()/reports() (the map-iteration hook also fires on a
+ * pool worker then).
  *
  * Feed frames in order via processFrame(); read the trajectory, map,
  * and reports afterwards.
@@ -338,10 +346,13 @@ class SlamSystem
 
     /**
      * The authoritative cloud, lock-free. Legal from the frame loop in
-     * sync mode, after waitForMapping() quiesced the workers in async
-     * mode, and from map-iteration hooks (which already run under the
-     * state lock). The analysis escape is deliberate: locking here
-     * would deadlock the hook path.
+     * sync mode (between frames it holds every prune and mask except
+     * those an RtgsSlam Taming step requests after processFrame, which
+     * the next frame or waitForMapping() folds in), after
+     * waitForMapping() quiesced the workers in async mode, and from
+     * map-iteration hooks (which already run under the state lock).
+     * The analysis escape is deliberate: locking here would deadlock
+     * the hook path.
      */
     const gs::GaussianCloud &
     cloud() const RTGS_NO_THREAD_SAFETY_ANALYSIS
@@ -375,9 +386,6 @@ class SlamSystem
     /** The mapper; same quiescence contract as cloud(). */
     Mapper &mapper() RTGS_NO_THREAD_SAFETY_ANALYSIS { return mapper_; }
 
-    /** True when keyframe mapping runs asynchronously. */
-    bool asyncMapping() const { return mapWorker_ != nullptr; }
-
     /** The tracking-health monitor; null unless config.health.enabled. */
     const HealthMonitor *healthMonitor() const { return health_.get(); }
 
@@ -386,39 +394,34 @@ class SlamSystem
     const Relocalizer *relocalizer() const { return reloc_.get(); }
 
     /** Async map jobs evicted by the overflow policy (0 in sync mode). */
-    size_t
-    mapJobsDropped() const
-    {
-        return mapWorker_ ? mapWorker_->droppedJobs() : 0;
-    }
+    size_t mapJobsDropped() const { return mapWorker_->droppedJobs(); }
 
     /** Times the map-queue watchdog tripped (0 in sync mode). */
-    size_t
-    mapWatchdogTrips() const
-    {
-        return mapWorker_ ? mapWorker_->watchdogTrips() : 0;
-    }
+    size_t mapWatchdogTrips() const { return mapWorker_->watchdogTrips(); }
 
     /**
-     * The cloud tracking renders against: the authoritative map in sync
-     * mode, the per-frame copy-on-write clone of the newest published
-     * snapshot in async mode. Iteration hooks (RTGS pruning, workload
-     * capture) must read THIS cloud — the authoritative one may be
-     * mid-mutation on a map worker. Only valid on the frame-loop
-     * thread.
+     * The cloud tracking renders against: the per-frame copy-on-write
+     * clone of the newest published snapshot, in both modes. Iteration
+     * hooks (RTGS pruning, workload capture) must read THIS cloud — the
+     * authoritative one lags the clone's prunes and masks until the
+     * next map batch or flush, and may be mid-mutation on a map worker.
+     * Empty until rendering-based tracking first runs (the geometric
+     * Photo-SLAM backend renders nothing and never refreshes it outside
+     * relocalization). Only valid on the frame-loop thread.
      */
-    gs::GaussianCloud &trackingCloud();
-    const gs::GaussianCloud &trackingCloud() const;
+    gs::GaussianCloud &trackingCloud() { return trackCloud_; }
+    const gs::GaussianCloud &trackingCloud() const { return trackCloud_; }
 
     /**
-     * Async-mode pruning: record that tracking decided to drop the
+     * Tracking-side pruning: record that tracking decided to drop the
      * entries where keep[i] == 0 of the CURRENT tracking clone (call
      * before compacting the clone — the mask is translated through the
      * clone's stable ids). The drop is applied to the authoritative
-     * cloud by the next map batch (or by waitForMapping()) under the
-     * state lock, with the mapper's optimiser state remapped in the
-     * same motion; later tracking clones filter the dropped ids out
-     * immediately, so tracking never resurrects what it pruned.
+     * cloud by the first map batch whose last job was enqueued after
+     * this call (or by waitForMapping()) under the state lock, with the
+     * mapper's optimiser state remapped in the same motion; later
+     * tracking clones filter the dropped ids out immediately, so
+     * tracking never resurrects what it pruned.
      */
     void requestTrackingPrune(const std::vector<u8> &keep);
 
@@ -440,10 +443,13 @@ class SlamSystem
     void rebindFrameLoopThread();
 
     /**
-     * Block until every enqueued mapping job has completed and every
-     * requested prune has been folded into the authoritative cloud.
-     * No-op in sync mode. Call before reading the cloud, reports, or
-     * rendering when mapQueueDepth > 0.
+     * Block until every enqueued mapping job has completed, then flush:
+     * fold every requested prune and the tracking clone's masks into
+     * the authoritative cloud, publishing a snapshot when that changed
+     * anything. Sync-mode processFrame ends with the same flush. Call
+     * before reading the cloud, reports, or rendering when
+     * mapQueueDepth > 0. Frame-loop thread only (it reads the tracking
+     * clone).
      */
     void waitForMapping() RTGS_EXCLUDES(stateMutex_, snapshotMutex_);
 
@@ -491,10 +497,15 @@ class SlamSystem
     ImageRGB renderView(const SE3 &pose) const;
 
     /** Decide keyframe status for a tracked frame (exposed for tests). */
-    bool decideKeyframe(const KeyframeQuery &query);
+    bool decideKeyframe(const KeyframeQuery &query) const;
 
   private:
     SE3 constantVelocityGuess() const;
+
+    /** The keyframe policy's view of `frame` at `pose` against the
+     *  last keyframe. */
+    KeyframeQuery keyframeQuery(const data::Frame &frame,
+                                const SE3 &pose) const;
 
     /** Photo-SLAM-style classical tracking: projective point ICP. */
     SE3 geometricTrack(const data::Frame &frame, const SE3 &init) const;
@@ -523,43 +534,42 @@ class SlamSystem
      *  pose, no keyframe, prev-frame tracking state untouched. */
     FrameReport rejectFrame(FrameReport &report);
 
-    /** Divergence probe: PSNR (dB) of a downsampled render of the
-     *  tracking cloud at `pose` vs the observation; negative when no
-     *  map is available. Never takes stateMutex_ (async-safe): the
-     *  sync-mode cloud read goes through syncCloud(). */
+    /** Divergence probe: PSNR (dB) of a downsampled render at `pose` of
+     *  the map this frame's tracking rendered (the newest published
+     *  map for the geometric backend) vs the observation; negative
+     *  when no map is available. Never takes stateMutex_ (an in-flight
+     *  async batch may hold it). */
     double probePsnr(const data::Frame &frame, const SE3 &pose);
 
-    /** Published-map footprint fields for a non-mapping frame row. */
-    void fillMapFootprint(FrameReport &report);
+    /**
+     * Append the frame's report row and return its index. In sync mode
+     * the flush waitForMapping() performs runs first, so the row's
+     * footprint (the newest published map's) and cloud() include this
+     * frame's prunes and masks; a keyframe row's map batch later
+     * overwrites the footprint with its post-map numbers.
+     */
+    size_t pushReport(FrameReport &report);
 
     /** Keyframe decision from the tracked pose / policy override. */
     bool stageKeyframeDecision(const data::Frame &frame, const SE3 &pose,
                                const bool *force_keyframe);
 
-    /** Synchronous map stage (mapQueueDepth == 0). */
-    void stageMapSync(const data::Frame &frame, const SE3 &pose,
-                      const FrameBudget *budget, FrameReport &report);
-
-    /** Enqueue-map stage: defer the map work to the bounded queue. */
+    /** Enqueue-map stage: hand the keyframe, the tracking clone's
+     *  masks and the prune-request count to the map worker (which runs
+     *  the job in place in sync mode). */
     void stageEnqueueMap(const data::Frame &frame, const SE3 &pose,
                          const FrameBudget *budget, size_t report_index);
 
-    /** Map stage body executed on a pool worker (async mode): one FIFO
-     *  batch of up to mapBatchSize keyframes. */
+    /** Map stage body: one FIFO batch of up to mapBatchSize keyframes,
+     *  on a pool worker (async) or in place (sync, one job). Folds in
+     *  the prunes requested before its last job and that job's masks,
+     *  maps, and publishes one snapshot. */
     void runMapBatch(std::vector<MapJob> &jobs);
 
     /**
-     * The mapping recipe shared by the sync and async paths: densify,
-     * admit the keyframe to the window, optimise, prune transparent.
-     * Fills the report's densified/mapMultiViews fields.
-     */
-    double mapKeyframe(KeyframeRecord record, u32 iteration_budget,
-                       FrameReport &report) RTGS_REQUIRES(stateMutex_);
-
-    /**
-     * Latest published map snapshot (async mode). Map batches publish a
-     * fresh immutable generation when they complete, so tracking never
-     * waits on an in-flight job (it reads the newest finished map).
+     * Latest published map snapshot. Map batches publish a fresh
+     * immutable generation when they complete, so tracking never waits
+     * on an in-flight job (it reads the newest finished map).
      */
     std::shared_ptr<const TrackingSnapshot> snapshotCloud();
 
@@ -573,35 +583,18 @@ class SlamSystem
                               FrameReport &report);
 
     /**
-     * Fold every not-yet-applied prune request into the authoritative
-     * cloud (stable-id keep-mask translation + optimiser remap).
-     * Returns true when the cloud changed.
+     * Fold the not-yet-applied prune requests with sequence number
+     * below `before` into the authoritative cloud (stable-id keep-mask
+     * translation + optimiser remap). Returns true when any request
+     * was folded (each needs the next published generation, even when
+     * the map had already dropped its ids).
      */
-    bool applyPendingPrunesLocked() RTGS_REQUIRES(stateMutex_);
+    bool applyPendingPrunesLocked(u64 before) RTGS_REQUIRES(stateMutex_);
 
     /** Publish cloud_ as a new snapshot generation; returns the wall
      *  seconds the publication cost. */
     double publishSnapshotLocked(u32 last_mapped_frame)
         RTGS_REQUIRES(stateMutex_);
-
-    /**
-     * The single sanctioned unlocked path to the authoritative cloud:
-     * legal ONLY where the frame loop is provably the sole accessor —
-     * sync mode (no worker exists) or after waitForMapping(). Every
-     * other cloud_ access is statically checked against stateMutex_;
-     * concentrating the escape here keeps it auditable.
-     */
-    gs::GaussianCloud &
-    syncCloud() RTGS_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return cloud_;
-    }
-
-    const gs::GaussianCloud &
-    syncCloud() const RTGS_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return cloud_;
-    }
 
     // --- Immutable after construction / internally synchronized.
     /** The pool when config.pool is null. Declared first so it outlives
@@ -651,6 +644,10 @@ class SlamSystem
     struct PendingPrune
     {
         std::vector<u64> ids;          //!< stable ids to drop (sorted)
+        /** Request order. A map batch folds in only the requests made
+         *  before its last job was enqueued, so a request made after
+         *  the enqueue (Taming's post-frame prune) never races it. */
+        u64 seq = 0;
         u64 appliedInGeneration = 0;   //!< 0 = not yet applied
     };
 
@@ -679,10 +676,13 @@ class SlamSystem
     /** Guards pendingPrunes_ (tracker appends, map batches consume). */
     mutable Mutex pruneMutex_;
     std::vector<PendingPrune> pendingPrunes_ RTGS_GUARDED_BY(pruneMutex_);
+    /** Prune requests made so far (the next request's seq). */
+    u64 prunesRequested_ RTGS_GUARDED_BY(pruneMutex_) = 0;
 
-    /** Async map drain; null in sync mode. Declared last so its
-     *  destructor drains in-flight jobs before members are torn down.
-     *  Immutable after construction; internally synchronized. */
+    /** The map stage: a bounded async drain, or (mapQueueDepth == 0)
+     *  runs each job in place. Declared last so its destructor drains
+     *  in-flight jobs before members are torn down. Immutable after
+     *  construction; internally synchronized. */
     // det-lint: allow(unguarded-field)
     std::unique_ptr<MapWorker> mapWorker_;
 };

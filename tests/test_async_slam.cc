@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the staged asynchronous SLAM loop: sync mode (queue depth
- * 0) must be byte-identical to a drained async run across all four
- * base-algorithm profiles (the async machinery must be numerically
+ * 0, the map batch run in place) must be byte-identical to a drained
+ * async run across all four base-algorithm profiles, with and without
+ * in-tracking pruning (the async machinery must be numerically
  * transparent), and overlapped async runs must complete with usable
  * results and fully filled reports after draining.
  */
@@ -17,6 +18,7 @@
 #include <thread>
 
 #include "common/thread_pool.hh"
+#include "core/rtgs_slam.hh"
 #include "slam/evaluation.hh"
 #include "slam/pipeline.hh"
 
@@ -121,6 +123,114 @@ TEST(AsyncSlam, SyncModeIdenticalToDrainedAsyncOnAllProfiles)
         EXPECT_TRUE(cloudsIdentical(sync_sys.cloud(), async_sys.cloud()))
             << algorithmName(algo) << ": maps diverged";
     }
+}
+
+namespace
+{
+
+/** A track_sync-like RtgsSlam fixture (gate, downsampling and pruning
+ *  on) whose 4-frame keyframe interval maps MonoGS keyframes while RTGS
+ *  grace-interval masks are live. */
+data::SyntheticDataset &
+maskedKeyframeDataset()
+{
+    static data::SyntheticDataset ds([] {
+        data::DatasetSpec spec = data::DatasetSpec::tumLike(Real(0.12));
+        spec.trajectory.frameCount = 12;
+        spec.trajectory.revolutions = Real(0.006) * 12;
+        return spec;
+    }());
+    return ds;
+}
+
+core::RtgsSlamConfig
+rtgsConfig(BaseAlgorithm algo, core::PruneMethod method, u32 queue_depth)
+{
+    core::RtgsSlamConfig cfg;
+    cfg.base = fastConfig(algo);
+    cfg.base.mapQueueDepth = queue_depth;
+    cfg.pruneMethod = method;
+    cfg.gate.enabled = true;
+    return cfg;
+}
+
+} // namespace
+
+TEST(AsyncSlam, RtgsSyncIdenticalToDrainedAsyncOnAllProfiles)
+{
+    // Sync mode runs the async map batch in place, so with in-tracking
+    // pruning on (masks and prune requests crossing from the tracking
+    // clone to the map) a sync run must still equal a drained async
+    // run bit for bit, for both pruning methods on every profile.
+    auto &ds = maskedKeyframeDataset();
+    const BaseAlgorithm algos[] = {BaseAlgorithm::GsSlam,
+                                   BaseAlgorithm::MonoGs,
+                                   BaseAlgorithm::PhotoSlam,
+                                   BaseAlgorithm::SplaTam};
+    for (auto algo : algos) {
+        for (auto method :
+             {core::PruneMethod::Rtgs, core::PruneMethod::Taming}) {
+            core::RtgsSlam sync_run(rtgsConfig(algo, method, 0),
+                                    ds.intrinsics());
+            core::RtgsSlam async_run(rtgsConfig(algo, method, 2),
+                                     ds.intrinsics());
+            size_t masks_at_keyframes = 0;
+            for (u32 f = 0; f < ds.frameCount(); ++f) {
+                sync_run.processFrame(ds.frame(f));
+                auto r = async_run.processFrame(ds.frame(f));
+                if (r.base.isKeyframe) {
+                    const auto &clone = async_run.system().trackingCloud();
+                    masks_at_keyframes += clone.size() - clone.activeCount();
+                }
+                async_run.system().waitForMapping();
+            }
+            sync_run.finish();
+            async_run.finish();
+            if (algo == BaseAlgorithm::MonoGs &&
+                method == core::PruneMethod::Rtgs) {
+                EXPECT_GT(masks_at_keyframes, 0u)
+                    << "fixture must map keyframes while masks are live";
+            }
+            const char *name = method == core::PruneMethod::Rtgs
+                                   ? "rtgs"
+                                   : "taming";
+            EXPECT_TRUE(
+                trajectoriesIdentical(sync_run.system().trajectory(),
+                                      async_run.system().trajectory()))
+                << algorithmName(algo) << "+" << name
+                << ": trajectories diverged";
+            EXPECT_TRUE(cloudsIdentical(sync_run.system().cloud(),
+                                        async_run.system().cloud()))
+                << algorithmName(algo) << "+" << name
+                << ": maps diverged";
+        }
+    }
+}
+
+TEST(AsyncSlam, DrainedAsyncTamingRunIsRepeatable)
+{
+    // Taming requests its prune after the frame's map job is enqueued.
+    // A batch folds in only the requests made before its last job, so
+    // whether the running batch or the drain's flush applies that
+    // prune never depends on timing: two drained runs match bitwise.
+    data::DatasetSpec spec = data::DatasetSpec::tumLike(Real(0.15));
+    spec.trajectory.frameCount = 16;
+    data::SyntheticDataset ds(spec);
+    auto run = [&] {
+        core::RtgsSlam rtgs(
+            rtgsConfig(BaseAlgorithm::SplaTam, core::PruneMethod::Taming, 2),
+            ds.intrinsics());
+        for (u32 f = 0; f < ds.frameCount(); ++f) {
+            rtgs.processFrame(ds.frame(f));
+            rtgs.system().waitForMapping();
+        }
+        return std::make_pair(rtgs.system().trajectory(),
+                              rtgs.system().cloud());
+    };
+    auto first = run();
+    auto second = run();
+    EXPECT_TRUE(trajectoriesIdentical(first.first, second.first));
+    EXPECT_TRUE(cloudsIdentical(first.second, second.second));
 }
 
 TEST(AsyncSlam, BatchedAsyncIdenticalToPerJobAsyncOnAllProfiles)

@@ -260,8 +260,7 @@ TEST(MultiView, DuplicateViewAverageEqualsSingleViewStep)
         MapperConfig cfg;
         cfg.iterations = 3;
         cfg.windowSize = 2;
-        cfg.multiViewWindow = b;
-        Mapper mapper(cfg);
+        Mapper mapper(cfg, b);
         gs::RenderPipeline pipeline;
         gs::GaussianCloud cloud;
         std::vector<MapBatchItem> items(2);

@@ -384,7 +384,8 @@ TEST(RtgsSlamTest, MaskedGaussiansExcludedFromRender)
     rtgs.setExternalTrackHook(
         [&](const slam::TrackIterationContext &ctx) {
             // Projected entries for masked Gaussians must be invalid.
-            const auto &cloud_ref = rtgs.system().cloud();
+            // trackingCloud() is the cloud this iteration rendered.
+            const auto &cloud_ref = rtgs.system().trackingCloud();
             for (size_t k = 0;
                  k < std::min(cloud_ref.size(),
                               ctx.forward->projected.size()); ++k) {
