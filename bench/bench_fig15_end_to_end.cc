@@ -22,7 +22,7 @@
  * between the snapshot tracking rendered and the newest map).
  *
  * Since the multi-view mapping work it also runs (e): a
- * multiViewWindow {0, 2, 4} ablation of the cross-keyframe mapping
+ * multiViewWindow {1, 2, 4} ablation of the cross-keyframe mapping
  * step (each optimiser step renders up to B window keyframes and
  * applies one averaged update). B >= 2 changes the numerics, so the
  * quality ablation — wall-clock AND PSNR/ATE — is part of the
@@ -311,7 +311,7 @@ main()
 
     // --- (e) multi-view mapping ablation (cross-keyframe render
     // batching). Each map optimiser step renders up to B window
-    // keyframes and applies one averaged update; B = 0 is the
+    // keyframes and applies one averaged update; B = 1 is the
     // sequential per-keyframe recipe. Sync mode + a deeper keyframe
     // window so B = 4 actually gets four views to render.
     struct MultiViewRow
@@ -322,7 +322,7 @@ main()
         size_t keyframes;
     };
     std::vector<MultiViewRow> mv_rows;
-    for (u32 mv : {0u, 2u, 4u}) {
+    for (u32 mv : {1u, 2u, 4u}) {
         data::DatasetSpec spec =
             benchSpec(data::DatasetSpec::tumLike(benchScale()));
         data::SyntheticDataset ds(spec);

@@ -65,12 +65,11 @@ RtgsSlam::installHooks()
                     pruner_.beginFrame(system_->trackingCloud());
                 // Reuse this iteration's gradients and tile bins. The
                 // pruner mutates the per-frame COW clone tracking
-                // renders against. On removal the compaction is
-                // deferred through an id-translated prune request the
-                // next map batch or flush applies to the authoritative
-                // cloud and the mapping optimiser (the callback runs
-                // before the clone is compacted, so the keep mask still
-                // indexes the clone's current ids).
+                // renders against. On removal the dropped stable ids
+                // ride in the next map job (or the flush) to the
+                // authoritative cloud and the mapping optimiser (the
+                // callback runs before the clone is compacted, so the
+                // keep mask still indexes the clone's current ids).
                 pruner_.onIteration(
                     system_->trackingCloud(), ctx.backward->grads,
                     ctx.forward->bins,
@@ -90,8 +89,8 @@ RtgsSlam::applyTamingPrune()
     // Taming prunes on its (noisy, under-warmed) trend scores with a
     // fixed per-frame slice up to the same global cap. The scorer
     // observed the tracking-side cloud, so the mask is computed and
-    // applied there and forwarded to the authoritative map as an
-    // id-translated prune request.
+    // applied there; the dropped stable ids reach the authoritative map
+    // through requestTrackingPrune.
     auto &cloud = system_->trackingCloud();
     if (tamingInitial_ == 0)
         tamingInitial_ = cloud.size();
@@ -209,8 +208,14 @@ RtgsSlam::processFrame(const data::Frame &frame)
             config_.base.tracker.iterations - budget.trackIterations;
     }
 
-    if (pruneThisFrame_ && config_.pruneMethod == PruneMethod::Taming)
+    if (pruneThisFrame_ && config_.pruneMethod == PruneMethod::Taming) {
         applyTamingPrune();
+        // A sync frame ends drained (SlamSystem::processFrame did);
+        // fold this post-frame prune in too, as a drained async
+        // caller's waitForMapping() does.
+        if (system_->config().mapQueueDepth == 0)
+            system_->waitForMapping();
+    }
     pruneThisFrame_ = false;
 
     report.prunedTotal = pruner_.stats().prunedTotal;

@@ -87,10 +87,10 @@ class RtgsSlam
 
     /**
      * Block until asynchronously enqueued mapping work has completed,
-     * fold every pending prune into the map (SlamSystem::
-     * waitForMapping), and refresh reports() rows with the completed
-     * map results. Call before reading the map / reports; in sync mode
-     * it only folds in the last frame's Taming prune.
+     * fold every pruned id no map job carried into the map
+     * (SlamSystem::waitForMapping), and refresh reports() rows with the
+     * completed map results. Call before reading the map / reports; a
+     * sync run is already drained after every frame.
      */
     void finish();
 

@@ -1,5 +1,8 @@
 #include "slam/map_worker.hh"
 
+#include <chrono>
+#include <optional>
+
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -9,7 +12,7 @@ namespace rtgs::slam
 MapWorker::MapWorker(size_t queue_depth, size_t batch_size, RunFn run,
                      ThreadPool &pool, OverflowPolicy policy,
                      double watchdog_seconds, DropFn on_drop)
-    : inPlace_(queue_depth == 0), queue_(queue_depth),
+    : queueDepth_(queue_depth),
       batchSize_(batch_size == 0 ? 1 : batch_size),
       run_(std::move(run)), policy_(policy),
       watchdogSeconds_(watchdog_seconds), onDrop_(std::move(on_drop)),
@@ -20,73 +23,65 @@ MapWorker::MapWorker(size_t queue_depth, size_t batch_size, RunFn run,
 MapWorker::~MapWorker()
 {
     drain(); // after this, no drainer is live and the queue is empty
-    queue_.close();
 }
 
 void
 MapWorker::enqueue(MapJob job)
 {
-    if (inPlace_) {
+    if (queueDepth_ == 0) {
         std::vector<MapJob> batch;
         batch.push_back(std::move(job));
         run_(batch);
         return;
     }
-    // Count before pushing so completed_ can never transiently exceed
-    // submitted_ (the drainer may pop-and-finish the job before this
-    // thread reacquires statusMutex_).
+    std::optional<MapJob> evicted;
+    bool tripped = false;
+    bool spawn = false;
     {
-        MutexLock lock(statusMutex_);
-        ++submitted_;
-    }
-    bool pushed = false;
-    if (policy_ == OverflowPolicy::Block) {
-        if (watchdogSeconds_ > 0) {
+        CvLock lock(statusMutex_);
+        if (policy_ == OverflowPolicy::Block && watchdogSeconds_ > 0) {
             // Watchdog-bounded backpressure: a drainer wedged longer
             // than the timeout degrades this push to drop-oldest
             // instead of wedging the frame loop with it.
-            pushed = queue_.tryPushFor(
-                job, std::chrono::duration<double>(watchdogSeconds_));
-            if (!pushed) {
-                {
-                    MutexLock lock(statusMutex_);
-                    ++watchdogTrips_;
-                }
-                warn("map queue watchdog tripped after %.1fs; evicting "
-                     "the oldest queued job",
-                     watchdogSeconds_);
-            }
-        } else {
+            // A wait deadline, not a measurement: it reaches no output.
+            // det-lint: allow(monotonic-clock)
+            const auto deadline = std::chrono::steady_clock::now() +
+                                  std::chrono::duration<double>(
+                                      watchdogSeconds_);
+            while (queue_.size() >= queueDepth_ && !tripped)
+                tripped = lock.waitUntil(statusCv_, deadline) ==
+                              std::cv_status::timeout &&
+                          queue_.size() >= queueDepth_;
+            watchdogTrips_ += tripped ? 1 : 0;
+        } else if (policy_ == OverflowPolicy::Block) {
             // Blocks while `queue_depth` jobs are pending: the frame
             // loop can run at most that many keyframes ahead of the
             // map.
-            queue_.push(std::move(job));
-            pushed = true;
+            while (queue_.size() >= queueDepth_)
+                lock.wait(statusCv_);
         }
-    }
-    if (!pushed) {
-        std::optional<MapJob> evicted;
-        queue_.pushEvictingOldest(std::move(job), evicted);
-        if (evicted) {
-            if (onDrop_)
-                onDrop_(*evicted);
-            MutexLock lock(statusMutex_);
+        if (queue_.size() >= queueDepth_) {
+            // The evicted job never reaches the drainer: count it as
+            // both submitted and completed so drain() still terminates.
+            evicted.emplace(std::move(queue_.front()));
+            queue_.pop_front();
             ++droppedJobs_;
-            // The evicted job is counted in submitted_ but will never
-            // reach the drainer; balance the ledger here so drain()
-            // still terminates.
             ++completed_;
-            statusCv_.notify_all();
         }
-    }
-    bool spawn = false;
-    {
-        MutexLock lock(statusMutex_);
+        ++submitted_;
+        queue_.push_back(std::move(job));
         if (!drainerActive_) {
             drainerActive_ = true;
             spawn = true;
         }
     }
+    if (tripped) {
+        warn("map queue watchdog tripped after %.1fs; evicting the "
+             "oldest queued job",
+             watchdogSeconds_);
+    }
+    if (evicted && onDrop_)
+        onDrop_(*evicted);
     if (spawn)
         pool_.post([this] { drainLoop(); });
 }
@@ -96,32 +91,29 @@ MapWorker::drainLoop()
 {
     std::vector<MapJob> batch;
     for (;;) {
-        batch.clear();
         {
-            // Pop-or-retire atomically with the drainer flag, so a
-            // producer that pushes just after the queue looks empty
-            // observes drainerActive_ == false and spawns a new drainer
-            // (no lost jobs). Retiring is the drainer's LAST touch of
-            // member state, and the notify happens under the lock:
-            // drain() waits for !drainerActive_, so this MapWorker can
-            // only be destroyed after the drainer has fully let go.
+            // Count the previous batch and pop-or-retire in one
+            // critical section, so a producer that pushes just after
+            // the queue looks empty observes drainerActive_ == false
+            // and spawns a new drainer (no lost jobs). Retiring is the
+            // drainer's LAST touch of member state, and the notify
+            // happens under the lock: drain() waits for
+            // !drainerActive_, so this MapWorker can only be destroyed
+            // after the drainer has fully let go.
             MutexLock lock(statusMutex_);
-            MapJob job;
-            if (!queue_.tryPop(job)) {
+            completed_ += batch.size();
+            batch.clear();
+            if (queue_.empty())
                 drainerActive_ = false;
-                statusCv_.notify_all();
-                return;
+            // Absorb whatever is queued, up to the batch cap. Only this
+            // drainer pops, so FIFO order is preserved.
+            while (!queue_.empty() && batch.size() < batchSize_) {
+                batch.push_back(std::move(queue_.front()));
+                queue_.pop_front();
             }
-            batch.push_back(std::move(job));
-        }
-        // Opportunistically absorb whatever else is already queued, up
-        // to the batch cap. Only this drainer pops, so FIFO order is
-        // preserved; a miss here is caught by the next loop iteration.
-        while (batch.size() < batchSize_) {
-            MapJob job;
-            if (!queue_.tryPop(job))
-                break;
-            batch.push_back(std::move(job));
+            statusCv_.notify_all();
+            if (!drainerActive_)
+                return;
         }
         try {
             run_(batch);
@@ -133,10 +125,6 @@ MapWorker::drainLoop()
         } catch (...) {
             warn("map batch of %zu job(s) starting at frame %u failed",
                  batch.size(), batch.front().record.frameIndex);
-        }
-        {
-            MutexLock lock(statusMutex_);
-            completed_ += batch.size();
         }
     }
 }

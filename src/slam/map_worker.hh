@@ -21,6 +21,12 @@
  *    FIFO (within and across batches), and no pool worker ever parks
  *    waiting for another job to finish (tracking's parallelFor keeps
  *    its workers).
+ *  - One mutex guards the pending-job deque and the completion
+ *    ledger: a blocking or watchdog-timed push, evict-oldest, and the
+ *    drainer's pop-or-retire are each one critical section on it, and
+ *    one condition variable wakes producers, the drainer's retirement
+ *    and drain() alike. Callbacks (the batch body, on-drop) never run
+ *    under it.
  *  - Batching amortises per-drain setup (state-lock acquisition,
  *    snapshot publication, scratch-arena checkout) across keyframe
  *    bursts: when several keyframes are queued — rotation onset, a new
@@ -39,12 +45,11 @@
 #define RTGS_SLAM_MAP_WORKER_HH
 
 #include <condition_variable>
+#include <deque>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/annotations.hh"
-#include "common/bounded_queue.hh"
 #include "common/mutex.hh"
 #include "slam/keyframe.hh"
 #include "slam/mapper.hh"
@@ -66,9 +71,10 @@ struct MapJob
     /** Stable ids the tracking clone had masked at enqueue (ascending);
      *  the batch masks them in the map before optimising. */
     std::vector<u64> maskedIds;
-    /** Tracking prune requests made before enqueue; the batch folds in
-     *  exactly these (later ones wait for the next batch or flush). */
-    u64 prunesBefore = 0;
+    /** Stable ids tracking pruned since the previous job was enqueued
+     *  (ascending); the batch drops them from the map before
+     *  optimising. */
+    std::vector<u64> prunedIds;
 };
 
 /**
@@ -94,7 +100,8 @@ class MapWorker
     /** Executes one FIFO batch of jobs (called on a pool worker). */
     using RunFn = std::function<void(std::vector<MapJob> &batch)>;
     /** Observes a job evicted under the DropOldest policy (called on
-     *  the producer thread, before enqueue() returns). */
+     *  the producer thread, before enqueue() returns, with no lock
+     *  held). */
     using DropFn = std::function<void(MapJob &dropped)>;
 
     /**
@@ -131,7 +138,7 @@ class MapWorker
      * is at capacity (up to the watchdog timeout when one is set);
      * with DropOldest it never blocks.
      */
-    void enqueue(MapJob job);
+    void enqueue(MapJob job) RTGS_EXCLUDES(statusMutex_);
 
     /** Wait until all jobs submitted so far have completed (dropped
      *  jobs count as completed — they will never run). */
@@ -146,11 +153,10 @@ class MapWorker
     size_t watchdogTrips() const;
 
   private:
-    void drainLoop();
+    void drainLoop() RTGS_EXCLUDES(statusMutex_);
 
-    /** Queue depth 0: enqueue() runs each job in place. */
-    bool inPlace_;
-    BoundedQueue<MapJob> queue_;
+    /** 0: enqueue() runs each job in place. */
+    size_t queueDepth_;
     size_t batchSize_;
     RunFn run_;
     OverflowPolicy policy_;
@@ -159,12 +165,13 @@ class MapWorker
     /** Immutable after construction; internally synchronized. */
     ThreadPool &pool_;
 
-    /** Guards the completion ledger below. queue_'s internal mutex may
-     *  be taken while statusMutex_ is held (drainLoop's atomic
-     *  pop-or-retire) — never the reverse: BoundedQueue calls nothing
-     *  back. */
+    /** Guards the pending jobs and the completion ledger below. */
     mutable Mutex statusMutex_;
+    /** Signalled when a job leaves the queue (room for a blocked
+     *  push) and when the drainer retires (drain() may finish). */
     std::condition_variable statusCv_;
+    /** Jobs enqueued and not yet popped by the drainer, oldest first. */
+    std::deque<MapJob> queue_ RTGS_GUARDED_BY(statusMutex_);
     size_t submitted_ RTGS_GUARDED_BY(statusMutex_) = 0;
     size_t completed_ RTGS_GUARDED_BY(statusMutex_) = 0;
     size_t droppedJobs_ RTGS_GUARDED_BY(statusMutex_) = 0;

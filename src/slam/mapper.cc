@@ -107,9 +107,7 @@ Mapper::multiViewSelection(size_t window_size, u32 iteration,
     if (window_size == 0)
         return views;
     const size_t newest = window_size - 1;
-    const size_t b =
-        std::min<size_t>(std::max<u32>(multi_view_window, 1),
-                         window_size);
+    const size_t b = std::min<size_t>(multi_view_window, window_size);
     if (b <= 1) {
         // Sequential alternation: the newest keyframe (most relevant)
         // on even steps, the rest of the window (forgetting

@@ -84,8 +84,8 @@ class Mapper
   public:
     /**
      * @param multi_view_window how many window keyframes each optimiser
-     *        step renders (SlamConfig::multiViewWindow). 0 and 1 both
-     *        run the sequential newest/rest alternation — one view per
+     *        step renders (SlamConfig::multiViewWindow, >= 1). 1 runs
+     *        the sequential newest/rest alternation — one view per
      *        step. B >= 2 renders min(B, windowSize) views per step
      *        (the newest keyframe plus a rotating selection of the
      *        rest), sums their gradients deterministically, and applies
@@ -134,9 +134,9 @@ class Mapper
     /**
      * Window indices optimiser step `iteration` renders, newest view
      * last (its loss is the step's reported loss). With
-     * multi_view_window <= 1 this is the sequential alternation —
+     * multi_view_window = 1 this is the sequential alternation —
      * newest on even steps, a rotating pick of the rest on odd ones —
-     * so B = 0 and B = 1 reproduce the single-view recipe exactly.
+     * the single-view recipe.
      * With B >= 2 every step renders the newest keyframe plus
      * min(B, window_size) - 1 distinct older ones, rotated by step so
      * the whole window is revisited. Exposed for the window-selection

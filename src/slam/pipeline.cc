@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.hh"
 #include "image/metrics.hh"
@@ -79,6 +80,19 @@ maskIds(gs::GaussianCloud &cloud, const std::vector<u64> &ids)
     return true;
 }
 
+/** Merge ascending `ids` into ascending `into` (set union). */
+void
+mergeIds(std::vector<u64> &into, const std::vector<u64> &ids)
+{
+    if (ids.empty())
+        return;
+    std::vector<u64> merged;
+    merged.reserve(into.size() + ids.size());
+    std::set_union(into.begin(), into.end(), ids.begin(), ids.end(),
+                   std::back_inserter(merged));
+    into.swap(merged);
+}
+
 } // namespace
 
 const char *
@@ -137,6 +151,9 @@ SlamSystem::SlamSystem(const SlamConfig &config,
       tracker_(config.tracker),
       mapper_(config.mapper, config.multiViewWindow)
 {
+    if (config.multiViewWindow == 0)
+        fatal("SlamConfig::multiViewWindow must be >= 1 (1 maps one "
+              "keyframe view per optimiser step)");
     ThreadPool &pool = config.pool ? *config.pool : *ownedPool_;
 
     gs::RenderSettings settings;
@@ -175,8 +192,11 @@ SlamSystem::SlamSystem(const SlamConfig &config,
     }
 
     // Evicted jobs never run; mark their report rows so drops are
-    // accounted instead of silently reading as unmapped keyframes.
+    // accounted instead of silently reading as unmapped keyframes, and
+    // hand their prunes back (this runs on the frame loop, inside
+    // enqueue) so the next job or flush carries them.
     MapWorker::DropFn on_drop = [this](MapJob &job) {
+        mergeIds(prunedUnsent_, job.prunedIds);
         MutexLock lock(reportMutex_);
         rtgs_assert(job.reportIndex < reports_.size());
         reports_[job.reportIndex].mapJobDropped = true;
@@ -203,18 +223,17 @@ void
 SlamSystem::waitForMapping()
 {
     mapWorker_->drain();
-    // Prunes requested and masks set after the last map job was
-    // enqueued have no job left to carry them; fold them in now so
-    // cloud() honours every tracking decision once this returns.
+    // Prunes and masks made after the last map job was enqueued (or
+    // handed back by an evicted one) have no job left to carry them;
+    // fold them in now so cloud() honours every tracking decision once
+    // this returns.
     std::vector<u64> masked = maskedIds(trackCloud_);
+    std::vector<u64> pruned;
+    pruned.swap(prunedUnsent_);
     MutexLock lock(stateMutex_);
-    bool folded = applyPendingPrunesLocked(~u64(0));
-    bool masks_changed = maskIds(cloud_, masked);
-    // Publish even when a folded request dropped nothing: apply marked
-    // it as applied-in the next generation, and that generation must
-    // exist for clone refreshes to garbage-collect it (a COW publish
-    // costs refcount bumps).
-    if (folded || masks_changed)
+    bool pruned_any = pruneIdsLocked(pruned);
+    bool masked_any = maskIds(cloud_, masked);
+    if (pruned_any || masked_any)
         publishSnapshotLocked(lastPublishedFrame_);
 }
 
@@ -222,26 +241,13 @@ void
 SlamSystem::requestTrackingPrune(const std::vector<u8> &keep)
 {
     rtgs_assert(keep.size() == trackCloud_.size());
-    PendingPrune prune;
+    std::vector<u64> dropped;
     const auto &ids = trackCloud_.ids.view();
     for (size_t k = 0; k < keep.size(); ++k)
         if (!keep[k])
-            prune.ids.push_back(ids[k]); // ascending: ids are sorted
-    if (prune.ids.empty())
-        return;
-    MutexLock lock(pruneMutex_);
-    prune.seq = prunesRequested_++;
-    pendingPrunes_.push_back(std::move(prune));
-}
-
-size_t
-SlamSystem::pendingPruneCount() const
-{
-    MutexLock lock(pruneMutex_);
-    size_t n = 0;
-    for (const PendingPrune &p : pendingPrunes_)
-        n += p.appliedInGeneration == 0 ? 1 : 0;
-    return n;
+            dropped.push_back(ids[k]); // ascending: ids are sorted
+    mergeIds(prunedUnsent_, dropped);
+    mergeIds(prunedInFlight_, dropped);
 }
 
 void
@@ -254,31 +260,15 @@ SlamSystem::rebindFrameLoopThread()
 }
 
 bool
-SlamSystem::applyPendingPrunesLocked(u64 before)
+SlamSystem::pruneIdsLocked(const std::vector<u64> &ids)
 {
-    std::vector<u64> dropped;
-    bool folded = false;
-    {
-        MutexLock lock(pruneMutex_);
-        for (PendingPrune &p : pendingPrunes_) {
-            if (p.appliedInGeneration != 0 || p.seq >= before)
-                continue;
-            dropped.insert(dropped.end(), p.ids.begin(), p.ids.end());
-            // The generation this batch/flush publishes next; clone
-            // refreshes garbage-collect the entry once a snapshot of at
-            // least that generation is visible.
-            p.appliedInGeneration = mapGeneration_ + 1;
-            folded = true;
-        }
-    }
-    if (!folded)
+    if (ids.empty())
         return false;
-    std::sort(dropped.begin(), dropped.end());
-    std::vector<u8> keep = cloud_.translateKeepMask(dropped);
-    if (std::find(keep.begin(), keep.end(), u8(0)) != keep.end()) {
-        cloud_.compact(keep);
-        mapper_.remapOptimizer(keep);
-    }
+    std::vector<u8> keep = cloud_.translateKeepMask(ids);
+    if (std::find(keep.begin(), keep.end(), u8(0)) == keep.end())
+        return false; // the map already lacks every id
+    cloud_.compact(keep);
+    mapper_.remapOptimizer(keep);
     return true;
 }
 
@@ -579,13 +569,10 @@ SlamSystem::stageEnqueueMap(const data::Frame &frame, const SE3 &pose,
     job.record = KeyframeRecord{frame.index, pose, frame.rgb, frame.depth};
     job.mapIterationBudget = budget ? budget->mapIterations : 0;
     job.reportIndex = report_index;
-    // What tracking has decided so far, fixed at enqueue so the job's
+    // What tracking has decided so far travels with the job, so its
     // result never depends on how far the frame loop got meanwhile.
     job.maskedIds = maskedIds(trackCloud_);
-    {
-        MutexLock lock(pruneMutex_);
-        job.prunesBefore = prunesRequested_;
-    }
+    job.prunedIds.swap(prunedUnsent_);
     mapWorker_->enqueue(std::move(job));
 }
 
@@ -605,7 +592,10 @@ SlamSystem::runMapBatch(std::vector<MapJob> &jobs)
         // Fold tracking-side prune and mask decisions in first so this
         // batch optimises the cloud the tracker actually kept, and
         // never renders what the tracker masked.
-        applyPendingPrunesLocked(jobs.back().prunesBefore);
+        std::vector<u64> pruned;
+        for (const MapJob &job : jobs)
+            mergeIds(pruned, job.prunedIds);
+        pruneIdsLocked(pruned);
         maskIds(cloud_, jobs.back().maskedIds);
 
         for (size_t j = 0; j < jobs.size(); ++j) {
@@ -690,32 +680,19 @@ SlamSystem::refreshTrackingClone(const data::Frame &frame,
     trackCloud_ = snap->cloud; // COW: one refcount bump per column
     trackCloneGeneration_ = snap->generation;
 
-    // Filter out entries the tracker already pruned but no map batch
-    // has absorbed yet, and garbage-collect requests that a published
-    // generation has since made permanent.
-    std::vector<u64> dropped;
-    {
-        MutexLock lock(pruneMutex_);
-        auto alive = pendingPrunes_.begin();
-        for (auto it = pendingPrunes_.begin();
-             it != pendingPrunes_.end(); ++it) {
-            if (it->appliedInGeneration != 0 &&
-                snap->generation >= it->appliedInGeneration) {
-                continue; // this snapshot already lacks those ids
-            }
-            dropped.insert(dropped.end(), it->ids.begin(),
-                           it->ids.end());
-            if (alive != it)
-                *alive = std::move(*it);
-            ++alive;
-        }
-        pendingPrunes_.erase(alive, pendingPrunes_.end());
-    }
-    if (!dropped.empty()) {
-        std::sort(dropped.begin(), dropped.end());
-        // Pending ids the map already removed translate to an all-ones
-        // mask; compact() early-outs on those without re-materialising.
-        trackCloud_.compact(trackCloud_.translateKeepMask(dropped));
+    // Filter out what tracking pruned but this snapshot still holds
+    // (no batch or flush carrying it has published yet), and forget
+    // the pruned ids it no longer holds: stable ids are never reused,
+    // so an id absent from one snapshot is absent from every later one.
+    if (!prunedInFlight_.empty()) {
+        std::vector<u8> keep = trackCloud_.translateKeepMask(prunedInFlight_);
+        std::vector<u64> held;
+        const auto &ids = trackCloud_.ids.view();
+        for (size_t k = 0; k < keep.size(); ++k)
+            if (!keep[k])
+                held.push_back(ids[k]);
+        prunedInFlight_.swap(held);
+        trackCloud_.compact(keep);
     }
 
     // Re-apply surviving masks (ids the map has since pruned simply
@@ -732,8 +709,6 @@ SlamSystem::refreshTrackingClone(const data::Frame &frame,
 size_t
 SlamSystem::pushReport(FrameReport &report)
 {
-    if (config_.mapQueueDepth == 0)
-        waitForMapping(); // no job in flight: only the flush runs
     // Never touch stateMutex_ here (an in-flight async batch holds it
     // for its whole duration): report the latest *published* map's
     // footprint. Keyframe rows get their exact post-map numbers from
@@ -888,6 +863,20 @@ FrameReport
 SlamSystem::processFrame(const data::Frame &frame, Real tracking_scale,
                          const bool *force_keyframe,
                          const FrameBudget *budget)
+{
+    FrameReport report =
+        runFrameStages(frame, tracking_scale, force_keyframe, budget);
+    // Sync mode is a drained async run: the same drain a caller of an
+    // async system makes after each frame.
+    if (config_.mapQueueDepth == 0)
+        waitForMapping();
+    return report;
+}
+
+FrameReport
+SlamSystem::runFrameStages(const data::Frame &frame, Real tracking_scale,
+                           const bool *force_keyframe,
+                           const FrameBudget *budget)
 {
     rtgs_assert(tracking_scale > 0 && tracking_scale <= 1);
     FrameReport report;

@@ -64,13 +64,13 @@ struct SlamConfig
     u32 icpStride = 4;
 
     /**
-     * Asynchronous-mapping queue depth. 0 (the default) folds each
-     * frame's tracking-side prunes and masks into the map and runs its
-     * keyframe map job in place inside processFrame — the drained
-     * async run, exactly reproducing the monolithic loop; >= 1 runs keyframe mapping on the system's
-     * pool behind a bounded queue of this depth, overlapping it
-     * with the tracking of subsequent frames. See src/slam/README.md
-     * for the threading/ownership model.
+     * Asynchronous-mapping queue depth. 0 (the default) runs each
+     * keyframe's map job in place inside processFrame, which then ends
+     * with waitForMapping() — the drained async run, exactly
+     * reproducing the monolithic loop; >= 1 runs keyframe mapping on
+     * the system's pool behind a bounded queue of this depth,
+     * overlapping it with the tracking of subsequent frames. See
+     * src/slam/README.md for the threading/ownership model.
      */
     u32 mapQueueDepth = 0;
 
@@ -88,10 +88,10 @@ struct SlamConfig
     /**
      * Multi-view mapping window B (the ROADMAP's cross-keyframe render
      * batching): how many window keyframes each map optimiser step
-     * renders. 0 (the default) keeps the sequential one-view-per-step
-     * alternation, byte-identical to the pre-multi-view recipe, as is
-     * 1 (which selects the same single keyframe per step). B >= 2
-     * renders min(B, mapper.windowSize) views per step — the newest
+     * renders (>= 1; the constructor rejects 0). 1 (the default) keeps
+     * the sequential one-view-per-step alternation, byte-identical to
+     * the pre-multi-view recipe. B >= 2 renders min(B,
+     * mapper.windowSize) views per step — the newest
      * keyframe plus a rotating pick of the rest — accumulates their
      * gradients into one shared arena with a deterministic fixed-chunk
      * reduction (bitwise independent of the render worker count), and
@@ -100,7 +100,7 @@ struct SlamConfig
      * numerics; the bench_fig15 multi-view ablation records the
      * wall-clock/PSNR trade. Handed to the Mapper at construction.
      */
-    u32 multiViewWindow = 0;
+    u32 multiViewWindow = 1;
 
     /**
      * What a full async map queue does to the enqueue-map stage:
@@ -322,10 +322,10 @@ struct TrackingSnapshot
  * There is one map path. Tracking always renders against a
  * copy-on-write clone of the newest published snapshot, and keyframe
  * mapping is always a MapJob run through the same batch body, which
- * folds in tracking-side prunes and masks, maps, and publishes a new
- * snapshot. With config.mapQueueDepth == 0 processFrame runs the flush
- * waitForMapping() performs and then the job, in place on the caller
- * thread, so a sync run IS a drained async run
+ * folds in the tracking-side prunes and masks the job carries, maps,
+ * and publishes a new snapshot. With config.mapQueueDepth == 0 the job
+ * runs in place on the caller thread and processFrame ends with
+ * waitForMapping(), so a sync run IS a drained async run
  * (byte-identical to the original monolithic loop). With a positive
  * depth the map stage runs asynchronously on the system's pool
  * (SlamConfig::pool) behind a bounded keyframe queue; each drain
@@ -346,9 +346,9 @@ class SlamSystem
 
     /**
      * The authoritative cloud, lock-free. Legal from the frame loop in
-     * sync mode (between frames it holds every prune and mask except
-     * those an RtgsSlam Taming step requests after processFrame, which
-     * the next frame or waitForMapping() folds in), after
+     * sync mode (each frame ends drained, so between frames it holds
+     * every prune and mask made inside processFrame; RtgsSlam drains
+     * again after its post-frame Taming prune), after
      * waitForMapping() quiesced the workers in async mode, and from
      * map-iteration hooks (which already run under the state lock).
      * The analysis escape is deliberate: locking here would deadlock
@@ -416,17 +416,15 @@ class SlamSystem
      * Tracking-side pruning: record that tracking decided to drop the
      * entries where keep[i] == 0 of the CURRENT tracking clone (call
      * before compacting the clone — the mask is translated through the
-     * clone's stable ids). The drop is applied to the authoritative
-     * cloud by the first map batch whose last job was enqueued after
-     * this call (or by waitForMapping()) under the state lock, with the
-     * mapper's optimiser state remapped in the same motion; later
-     * tracking clones filter the dropped ids out immediately, so
-     * tracking never resurrects what it pruned.
+     * clone's stable ids). The dropped ids ride in the next MapJob
+     * (or waitForMapping()'s flush), whose batch drops them from the
+     * authoritative cloud under the state lock, with the mapper's
+     * optimiser state remapped in the same motion; tracking clones
+     * filter them out until a refreshed snapshot no longer holds them,
+     * so tracking never resurrects what it pruned. Frame-loop thread
+     * only.
      */
     void requestTrackingPrune(const std::vector<u8> &keep);
-
-    /** Prune requests not yet folded into the authoritative map. */
-    size_t pendingPruneCount() const;
 
     /**
      * Hand the frame loop off to a different thread. The frame-loop
@@ -444,12 +442,12 @@ class SlamSystem
 
     /**
      * Block until every enqueued mapping job has completed, then flush:
-     * fold every requested prune and the tracking clone's masks into
-     * the authoritative cloud, publishing a snapshot when that changed
-     * anything. Sync-mode processFrame ends with the same flush. Call
-     * before reading the cloud, reports, or rendering when
+     * fold the prunes no job carried and the tracking clone's masks
+     * into the authoritative cloud, publishing a snapshot when that
+     * changed anything. Sync-mode processFrame ends with this call.
+     * Call before reading the cloud, reports, or rendering when
      * mapQueueDepth > 0. Frame-loop thread only (it reads the tracking
-     * clone).
+     * clone and the unsent prunes).
      */
     void waitForMapping() RTGS_EXCLUDES(stateMutex_, snapshotMutex_);
 
@@ -500,6 +498,12 @@ class SlamSystem
     bool decideKeyframe(const KeyframeQuery &query) const;
 
   private:
+    /** processFrame() minus the sync-mode drain: the stage graph. */
+    FrameReport runFrameStages(const data::Frame &frame,
+                               Real tracking_scale,
+                               const bool *force_keyframe,
+                               const FrameBudget *budget);
+
     SE3 constantVelocityGuess() const;
 
     /** The keyframe policy's view of `frame` at `pose` against the
@@ -542,11 +546,11 @@ class SlamSystem
     double probePsnr(const data::Frame &frame, const SE3 &pose);
 
     /**
-     * Append the frame's report row and return its index. In sync mode
-     * the flush waitForMapping() performs runs first, so the row's
-     * footprint (the newest published map's) and cloud() include this
-     * frame's prunes and masks; a keyframe row's map batch later
-     * overwrites the footprint with its post-map numbers.
+     * Append the frame's report row and return its index. The row
+     * records the newest published map's footprint, which lacks this
+     * frame's prunes (in sync mode too: the drain comes at the end of
+     * the frame); a keyframe row's map batch later overwrites it with
+     * its post-map numbers.
      */
     size_t pushReport(FrameReport &report);
 
@@ -555,15 +559,15 @@ class SlamSystem
                                const bool *force_keyframe);
 
     /** Enqueue-map stage: hand the keyframe, the tracking clone's
-     *  masks and the prune-request count to the map worker (which runs
+     *  masks and the prunes not yet sent to the map worker (which runs
      *  the job in place in sync mode). */
     void stageEnqueueMap(const data::Frame &frame, const SE3 &pose,
                          const FrameBudget *budget, size_t report_index);
 
     /** Map stage body: one FIFO batch of up to mapBatchSize keyframes,
      *  on a pool worker (async) or in place (sync, one job). Folds in
-     *  the prunes requested before its last job and that job's masks,
-     *  maps, and publishes one snapshot. */
+     *  the union of its jobs' prunes and its last job's masks, maps,
+     *  and publishes one snapshot. */
     void runMapBatch(std::vector<MapJob> &jobs);
 
     /**
@@ -575,21 +579,20 @@ class SlamSystem
 
     /**
      * Refresh the per-frame tracking clone from the newest published
-     * snapshot (O(columns) copy-on-write), filter out ids from prune
-     * requests the map has not absorbed yet, and stamp the report's
-     * snapshot generation/staleness fields.
+     * snapshot (O(columns) copy-on-write), filter out the pruned ids
+     * the snapshot still holds, and stamp the report's snapshot
+     * generation/staleness fields.
      */
     void refreshTrackingClone(const data::Frame &frame,
                               FrameReport &report);
 
     /**
-     * Fold the not-yet-applied prune requests with sequence number
-     * below `before` into the authoritative cloud (stable-id keep-mask
-     * translation + optimiser remap). Returns true when any request
-     * was folded (each needs the next published generation, even when
-     * the map had already dropped its ids).
+     * Drop the entries with the given stable ids (ascending; ids the
+     * map lacks are skipped) from the authoritative cloud and remap the
+     * optimiser state to match. Returns whether anything was dropped.
      */
-    bool applyPendingPrunesLocked(u64 before) RTGS_REQUIRES(stateMutex_);
+    bool pruneIdsLocked(const std::vector<u64> &ids)
+        RTGS_REQUIRES(stateMutex_);
 
     /** Publish cloud_ as a new snapshot generation; returns the wall
      *  seconds the publication cost. */
@@ -639,21 +642,18 @@ class SlamSystem
     /** Generation trackCloud_ was cloned from (the sentinel forces the
      *  first refresh to clone). */
     u64 trackCloneGeneration_ = ~u64(0);
-
-    /** One tracking-side prune decision awaiting authoritative apply. */
-    struct PendingPrune
-    {
-        std::vector<u64> ids;          //!< stable ids to drop (sorted)
-        /** Request order. A map batch folds in only the requests made
-         *  before its last job was enqueued, so a request made after
-         *  the enqueue (Taming's post-frame prune) never races it. */
-        u64 seq = 0;
-        u64 appliedInGeneration = 0;   //!< 0 = not yet applied
-    };
+    /** Stable ids tracking pruned that the newest refreshed snapshot
+     *  still held, plus those pruned since (ascending). Clone refreshes
+     *  filter them out and forget the ones the snapshot lacks. */
+    std::vector<u64> prunedInFlight_;
+    /** The pruned ids no map job has carried yet (ascending): the next
+     *  job takes them, an evicted job hands its own back, and
+     *  waitForMapping()'s flush folds in what is left. */
+    std::vector<u64> prunedUnsent_;
 
     /** Guards the authoritative map state against the async map stage.
-     *  Lock order: stateMutex_ before snapshotMutex_ / reportMutex_ /
-     *  pruneMutex_ (never the reverse). */
+     *  Lock order: stateMutex_ before snapshotMutex_ / reportMutex_
+     *  (never the reverse). */
     mutable Mutex stateMutex_;
     gs::GaussianCloud cloud_ RTGS_GUARDED_BY(stateMutex_);
     Mapper mapper_ RTGS_GUARDED_BY(stateMutex_);
@@ -672,12 +672,6 @@ class SlamSystem
     mutable Mutex snapshotMutex_;
     std::shared_ptr<const TrackingSnapshot> trackingSnapshot_
         RTGS_GUARDED_BY(snapshotMutex_);
-
-    /** Guards pendingPrunes_ (tracker appends, map batches consume). */
-    mutable Mutex pruneMutex_;
-    std::vector<PendingPrune> pendingPrunes_ RTGS_GUARDED_BY(pruneMutex_);
-    /** Prune requests made so far (the next request's seq). */
-    u64 prunesRequested_ RTGS_GUARDED_BY(pruneMutex_) = 0;
 
     /** The map stage: a bounded async drain, or (mapQueueDepth == 0)
      *  runs each job in place. Declared last so its destructor drains

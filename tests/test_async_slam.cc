@@ -89,6 +89,63 @@ cloudsIdentical(const gs::GaussianCloud &a, const gs::GaussianCloud &b)
            eq(a.shCoeffs, b.shCoeffs) && eq(a.active, b.active);
 }
 
+/** Bitwise equality, so NaN == NaN and -0 != +0. */
+template <typename T>
+bool
+sameBits(const T &a, const T &b)
+{
+    return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/**
+ * Compare two report rows field by field, skipping only the wall-clock
+ * timings and the mode flag. Returns the first differing field's name,
+ * or null when the rows agree.
+ */
+const char *
+reportRowDiff(const FrameReport &a, const FrameReport &b)
+{
+#define RTGS_SAME(field)                                                    \
+    if (!sameBits(a.field, b.field))                                        \
+        return #field;
+    RTGS_SAME(frameIndex)
+    RTGS_SAME(isKeyframe)
+    RTGS_SAME(pose.rot)
+    RTGS_SAME(pose.trans)
+    RTGS_SAME(trackLoss)
+    RTGS_SAME(mapLoss)
+    RTGS_SAME(gaussianCount)
+    RTGS_SAME(gaussianBytes)
+    RTGS_SAME(densified)
+    RTGS_SAME(trackIterations)
+    RTGS_SAME(trackIterationBudget)
+    RTGS_SAME(mapIterationBudget)
+    RTGS_SAME(trackFragments)
+    RTGS_SAME(snapshotGeneration)
+    RTGS_SAME(publishedGeneration)
+    RTGS_SAME(snapshotStaleFrames)
+    RTGS_SAME(mapBatchJobs)
+    RTGS_SAME(mapMultiViews)
+    RTGS_SAME(healthState)
+    RTGS_SAME(framesSinceHealthy)
+    RTGS_SAME(inputRejected)
+    RTGS_SAME(inputNan)
+    RTGS_SAME(inputBadTimestamp)
+    RTGS_SAME(depthIgnored)
+    RTGS_SAME(poseHeld)
+    RTGS_SAME(budgetBoosted)
+    RTGS_SAME(forcedRecoveryKeyframe)
+    RTGS_SAME(probePsnrDb)
+    RTGS_SAME(mapJobDropped)
+    RTGS_SAME(relocAttempts)
+    RTGS_SAME(relocCandidatesScored)
+    RTGS_SAME(relocProbePsnr)
+    RTGS_SAME(relocAccepted)
+    RTGS_SAME(framesLost)
+#undef RTGS_SAME
+    return nullptr;
+}
+
 } // namespace
 
 TEST(AsyncSlam, SyncModeIdenticalToDrainedAsyncOnAllProfiles)
@@ -158,10 +215,12 @@ rtgsConfig(BaseAlgorithm algo, core::PruneMethod method, u32 queue_depth)
 
 TEST(AsyncSlam, RtgsSyncIdenticalToDrainedAsyncOnAllProfiles)
 {
-    // Sync mode runs the async map batch in place, so with in-tracking
-    // pruning on (masks and prune requests crossing from the tracking
-    // clone to the map) a sync run must still equal a drained async
-    // run bit for bit, for both pruning methods on every profile.
+    // Sync mode runs the async map batch in place and then drains, so
+    // with in-tracking pruning on (masks and pruned ids crossing from
+    // the tracking clone to the map) a sync run must still equal a
+    // drained async run bit for bit — trajectory, map and every report
+    // field but the timings — for both pruning methods on every
+    // profile.
     auto &ds = maskedKeyframeDataset();
     const BaseAlgorithm algos[] = {BaseAlgorithm::GsSlam,
                                    BaseAlgorithm::MonoGs,
@@ -203,6 +262,15 @@ TEST(AsyncSlam, RtgsSyncIdenticalToDrainedAsyncOnAllProfiles)
                                         async_run.system().cloud()))
                 << algorithmName(algo) << "+" << name
                 << ": maps diverged";
+            const auto &sync_rows = sync_run.system().reports();
+            const auto &async_rows = async_run.system().reports();
+            ASSERT_EQ(sync_rows.size(), async_rows.size());
+            for (size_t i = 0; i < sync_rows.size(); ++i) {
+                const char *diff = reportRowDiff(sync_rows[i], async_rows[i]);
+                EXPECT_EQ(diff, nullptr)
+                    << algorithmName(algo) << "+" << name << ": row " << i
+                    << " differs in " << diff;
+            }
         }
     }
 }

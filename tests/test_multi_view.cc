@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for multi-view mapping iterations (SlamConfig::multiViewWindow):
- * window selection, the B <= 1 byte-identity contract with the
- * sequential per-keyframe recipe, bitwise render-worker-count
+ * window selection (B = 1 is the sequential per-keyframe recipe's
+ * alternation), rejection of B = 0, bitwise render-worker-count
  * independence of the B > 1 accumulation, and the averaged-update
  * semantics of the multi-view optimiser step.
  */
@@ -114,27 +114,20 @@ runSequence(BaseAlgorithm algo, u32 multi_view_window,
 
 } // namespace
 
-TEST(MultiView, SelectionMatchesSequentialAlternationForBZeroAndOne)
+TEST(MultiView, SelectionMatchesSequentialAlternationForBOne)
 {
-    // B = 0 and B = 1 must reproduce the sequential recipe's keyframe
-    // choice exactly: the newest keyframe on even steps (or always,
-    // for a one-entry window), a rotating pick of the rest on odd
-    // ones. This is the selection half of the byte-identity contract.
-    for (u32 b : {0u, 1u}) {
-        for (size_t window : {size_t(1), size_t(2), size_t(3),
-                              size_t(5)}) {
-            for (u32 it = 0; it < 12; ++it) {
-                auto views =
-                    Mapper::multiViewSelection(window, it, b);
-                ASSERT_EQ(views.size(), 1u);
-                size_t expected =
-                    (it % 2 == 0 || window == 1)
-                        ? window - 1
-                        : (it / 2) % (window - 1);
-                EXPECT_EQ(views[0], expected)
-                    << "b=" << b << " window=" << window
-                    << " it=" << it;
-            }
+    // B = 1 must reproduce the sequential recipe's keyframe choice
+    // exactly: the newest keyframe on even steps (or always, for a
+    // one-entry window), a rotating pick of the rest on odd ones.
+    for (size_t window : {size_t(1), size_t(2), size_t(3), size_t(5)}) {
+        for (u32 it = 0; it < 12; ++it) {
+            auto views = Mapper::multiViewSelection(window, it, 1);
+            ASSERT_EQ(views.size(), 1u);
+            size_t expected = (it % 2 == 0 || window == 1)
+                                  ? window - 1
+                                  : (it / 2) % (window - 1);
+            EXPECT_EQ(views[0], expected)
+                << "window=" << window << " it=" << it;
         }
     }
     EXPECT_TRUE(Mapper::multiViewSelection(0, 3, 2).empty());
@@ -171,27 +164,14 @@ TEST(MultiView, SelectionRendersDistinctViewsNewestLast)
     }
 }
 
-TEST(MultiView, WindowOneByteIdenticalToSequentialOnAllProfiles)
+TEST(MultiViewDeathTest, ZeroWindowRejected)
 {
-    // multiViewWindow = 0 runs the sequential per-keyframe recipe
-    // unchanged (verified bit-for-bit against the pre-multi-view
-    // build when this landed), and multiViewWindow = 1 must select
-    // the same single keyframe per step and apply the same update —
-    // so B=0 and B=1 runs must match byte for byte on every profile.
-    const BaseAlgorithm algos[] = {BaseAlgorithm::GsSlam,
-                                   BaseAlgorithm::MonoGs,
-                                   BaseAlgorithm::PhotoSlam,
-                                   BaseAlgorithm::SplaTam};
-    for (auto algo : algos) {
-        RunResult sequential = runSequence(algo, 0);
-        RunResult single_view = runSequence(algo, 1);
-        EXPECT_TRUE(trajectoriesIdentical(sequential.trajectory,
-                                          single_view.trajectory))
-            << algorithmName(algo) << ": trajectories diverged";
-        EXPECT_TRUE(cloudsIdentical(sequential.cloud,
-                                    single_view.cloud))
-            << algorithmName(algo) << ": maps diverged";
-    }
+    // B counts the views each map step renders; 0 names no recipe.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SlamConfig cfg = fastConfig(BaseAlgorithm::MonoGs);
+    cfg.multiViewWindow = 0;
+    EXPECT_EXIT(SlamSystem(cfg, tinyDataset().intrinsics()),
+                ::testing::ExitedWithCode(1), "multiViewWindow");
 }
 
 TEST(MultiView, MultiViewBitwiseIndependentOfRenderWorkers)
@@ -270,9 +250,9 @@ TEST(MultiView, DuplicateViewAverageEqualsSingleViewStep)
         return cloud;
     };
 
-    gs::GaussianCloud sequential = run(0);
+    gs::GaussianCloud sequential = run(1);
     gs::GaussianCloud averaged = run(2);
-    // With B=0 the window alternation also only ever renders copies of
+    // With B=1 the window alternation also only ever renders copies of
     // the same keyframe, so the two recipes apply identical updates.
     EXPECT_GT(sequential.size(), 0u);
     EXPECT_TRUE(cloudsIdentical(sequential, averaged));
@@ -285,7 +265,7 @@ TEST(MultiView, MultiViewChangesNumericsAndReportsViewCount)
     // more than one keyframe the maps must diverge from the
     // sequential run, and keyframe reports must record the per-step
     // view count on both paths.
-    RunResult sequential = runSequence(BaseAlgorithm::MonoGs, 0);
+    RunResult sequential = runSequence(BaseAlgorithm::MonoGs, 1);
     RunResult multi = runSequence(BaseAlgorithm::MonoGs, 3);
 
     EXPECT_FALSE(cloudsIdentical(sequential.cloud, multi.cloud));

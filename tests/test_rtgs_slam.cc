@@ -49,6 +49,35 @@ fastConfig()
     return cfg;
 }
 
+/**
+ * No tracking prune was lost: every id the authoritative map holds that
+ * the tracking clone could have seen (not newer than the clone's newest
+ * id — stable ids only grow) is still in the clone. An id missing from
+ * the clone was pruned by tracking, so a map that still holds it never
+ * received that prune.
+ */
+::testing::AssertionResult
+noPruneLost(const slam::SlamSystem &system)
+{
+    const auto &map_ids = system.cloud().ids.view();
+    const auto &clone_ids = system.trackingCloud().ids.view();
+    if (clone_ids.empty())
+        return ::testing::AssertionFailure() << "tracking clone is empty";
+    size_t c = 0;
+    for (u64 id : map_ids) {
+        if (id > clone_ids.back())
+            break;
+        while (c < clone_ids.size() && clone_ids[c] < id)
+            ++c;
+        if (c == clone_ids.size() || clone_ids[c] != id) {
+            return ::testing::AssertionFailure()
+                   << "id " << id
+                   << " was pruned by tracking but is still in the map";
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
 std::vector<SE3>
 gtTrajectory()
 {
@@ -348,7 +377,7 @@ TEST(RtgsSlamTest, PruningRunsWithAsyncMapping)
 
     EXPECT_GT(rtgs.pruner().stats().prunedTotal, 0u)
         << "in-tracking pruning must remove Gaussians in async mode";
-    EXPECT_EQ(rtgs.system().pendingPruneCount(), 0u)
+    EXPECT_TRUE(noPruneLost(rtgs.system()))
         << "finish() must fold every prune into the authoritative map";
 
     // The pruned async run must stay usable.
@@ -370,8 +399,36 @@ TEST(RtgsSlamTest, TamingPruneRunsWithAsyncMapping)
     for (u32 f = 0; f < ds.frameCount(); ++f)
         rtgs.processFrame(ds.frame(f));
     rtgs.finish();
-    EXPECT_EQ(rtgs.system().pendingPruneCount(), 0u);
+    EXPECT_TRUE(noPruneLost(rtgs.system()));
     EXPECT_EQ(rtgs.system().trajectory().size(), ds.frameCount());
+}
+
+TEST(RtgsSlamTest, EvictedMapJobsHandTheirPrunesOn)
+{
+    // Flood a depth-1 DropOldest queue (every-frame mapping against a
+    // deliberately slow mapper, no draining between frames) while the
+    // pruner removes Gaussians: an evicted job never runs, so the
+    // prunes it carried must ride on in a later job or the final
+    // flush instead of vanishing with it.
+    auto &ds = tinyDataset();
+    RtgsSlamConfig cfg = fastConfig();
+    cfg.base = slam::SlamConfig::forAlgorithm(slam::BaseAlgorithm::SplaTam);
+    cfg.base.tracker.iterations = 6;
+    cfg.base.tracker.earlyStop = false;
+    cfg.base.mapper.iterations = 60;
+    cfg.base.mapQueueDepth = 1;
+    cfg.base.mapOverflowPolicy = slam::OverflowPolicy::DropOldest;
+    cfg.enableDownsampling = false;
+    cfg.pruner.initialInterval = 3;
+    RtgsSlam rtgs(cfg, ds.intrinsics());
+    for (u32 f = 0; f < ds.frameCount(); ++f)
+        rtgs.processFrame(ds.frame(f));
+    rtgs.finish();
+
+    EXPECT_GT(rtgs.system().mapJobsDropped(), 0u)
+        << "a depth-1 queue against a slow mapper must overflow";
+    EXPECT_GT(rtgs.pruner().stats().prunedTotal, 0u);
+    EXPECT_TRUE(noPruneLost(rtgs.system()));
 }
 
 TEST(RtgsSlamTest, MaskedGaussiansExcludedFromRender)
