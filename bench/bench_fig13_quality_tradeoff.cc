@@ -16,6 +16,7 @@
  * at most 0.3 dB PSNR (gates enforced via the exit code).
  */
 
+#include <cmath>
 #include <cstring>
 
 #include "bench_util.hh"
@@ -85,42 +86,40 @@ main()
                            rep.fps(), 0});
     }
     // RTGS adaptive pruning (gradient reuse: zero extra passes).
-    {
-        data::SyntheticDataset ds(spec);
-        core::RtgsSlamConfig cfg = benchConfig(slam::BaseAlgorithm::MonoGs);
-        cfg.enableDownsampling = false;
-        cfg.pruner.maxPruneRatio = 0.5f;
-        RunOutcome run = runSequence(ds, cfg);
-        auto rep = model.sequenceReport(run.traces,
-                                        hw::SystemKind::GpuBaseline);
-        results.push_back({"RTGS Algo.", run.ateRmse * 100, rep.fps(),
-                           0});
-    }
-    // LightGaussian / FlashGS: same structural pruning benefit class,
-    // but each frame pays their scoring passes.
-    for (int which = 0; which < 2; ++which) {
-        data::SyntheticDataset ds(spec);
-        core::RtgsSlamConfig cfg = benchConfig(slam::BaseAlgorithm::MonoGs);
-        cfg.enableDownsampling = false;
-        cfg.pruner.maxPruneRatio = 0.5f;
-        RunOutcome run = runSequence(ds, cfg);
-        u32 extra = which == 0 ? 1 : 2; // scoring passes per frame
-        for (auto &ft : run.traces)
+    data::SyntheticDataset rtgs_ds(spec);
+    core::RtgsSlamConfig rtgs_cfg =
+        benchConfig(slam::BaseAlgorithm::MonoGs);
+    rtgs_cfg.enableDownsampling = false;
+    rtgs_cfg.pruner.maxPruneRatio = 0.5f;
+    RunOutcome rtgs_run = runSequence(rtgs_ds, rtgs_cfg);
+    results.push_back(
+        {"RTGS Algo.", rtgs_run.ateRmse * 100,
+         model.sequenceReport(rtgs_run.traces, hw::SystemKind::GpuBaseline)
+             .fps(),
+         0});
+    // LightGaussian / FlashGS: the RTGS run's workload plus the scoring
+    // passes each frame would pay. Their scorers never run here, so
+    // their accuracy is not measured (NaN prints as n/m).
+    for (u32 extra : {1u, 2u}) {
+        std::vector<hw::FrameTrace> traces = rtgs_run.traces;
+        for (auto &ft : traces)
             ft.extraScoringPasses = extra;
-        auto rep = model.sequenceReport(run.traces,
-                                        hw::SystemKind::GpuBaseline);
-        // Their multi-metric scores retain slightly more conservative
-        // sets; model the quality as baseline-grade.
-        results.push_back({which == 0 ? "LightGaussian" : "FlashGS",
-                           results[0].ate * 0.98, rep.fps(), extra});
+        results.push_back(
+            {extra == 1 ? "LightGaussian" : "FlashGS", std::nan(""),
+             model.sequenceReport(traces, hw::SystemKind::GpuBaseline)
+                 .fps(),
+             extra});
     }
 
     for (const auto &r : results) {
-        method_table.addRow({r.name, TablePrinter::num(r.ate),
-                             TablePrinter::num(r.fps, 2),
-                             std::to_string(r.extra)});
+        method_table.addRow(
+            {r.name, std::isnan(r.ate) ? "n/m" : TablePrinter::num(r.ate),
+             TablePrinter::num(r.fps, 2), std::to_string(r.extra)});
     }
     method_table.print();
+    std::printf("n/m = not measured: LightGaussian/FlashGS scoring is "
+                "not run; their rows only add its passes to the FPS "
+                "model.\n");
 
     // ---- (b) drift accumulation vs pruning ratio ---------------------
     TablePrinter drift_table({"prune ratio", "1/4 seq", "2/4 seq",

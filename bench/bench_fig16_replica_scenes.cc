@@ -63,6 +63,8 @@ main()
         mem_gain_acc += mem_gauspu / mem_ours;
     }
     table.print();
+    std::printf("GauSPU Mem is the 3090 run's peak x0.6, GauSPU's "
+                "paper-reported saving, not a measurement.\n");
 
     std::printf("\nmean FPS gain over GauSPU: %.1fx   mean peak-memory "
                 "reduction vs GauSPU: %.1fx\n",

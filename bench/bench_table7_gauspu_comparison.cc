@@ -39,16 +39,18 @@ main()
                   TablePrinter::num(base_rep.fps(), 1),
                   TablePrinter::num(runtimeMemoryMb(base.peakBytes), 2)});
 
-    // Row 2: GauSPU plug-in on the same (unpruned) workload.
+    // Row 2: GauSPU plug-in on the same (unpruned) workload. Its ATE
+    // is not measured; its memory is the unpruned peak scaled by
+    // GauSPU's paper-reported saving.
     auto gauspu_rep = model.sequenceReport(base.traces,
                                            hw::SystemKind::GauSpu);
-    table.addRow({"GauSPU+SplaTAM",
-                  TablePrinter::num(base.ateRmse * 100 * 0.95),
+    table.addRow({"GauSPU+SplaTAM", "n/m",
                   TablePrinter::num(base.psnrDb, 1),
                   TablePrinter::num(gauspu_rep.trackingFps(), 1),
                   TablePrinter::num(gauspu_rep.fps(), 1),
                   TablePrinter::num(runtimeMemoryMb(base.peakBytes) * 0.6,
-                                    2)});
+                                    2) +
+                      " (paper)"});
 
     // Row 3: RTGS algorithm techniques only, still on the plain GPU.
     data::SyntheticDataset ds2(spec);
@@ -63,6 +65,8 @@ main()
                   TablePrinter::num(ours_rep.fps(), 1),
                   TablePrinter::num(runtimeMemoryMb(ours.peakBytes), 2)});
     table.print();
+    std::printf("n/m = not measured. GauSPU+SplaTAM Peak Mem is the "
+                "SplaTAM peak x0.6, GauSPU's paper-reported saving.\n");
 
     std::printf("\nShape check vs paper Table 7: Ours+SplaTAM beats "
                 "GauSPU+SplaTAM in tracking FPS\npurely algorithmically "

@@ -41,7 +41,6 @@ RtgsRuntime::rtgsExecute(int frame_id, bool is_keyframe)
     rtgs_assert(status_ == RtgsStatus::Idle,
                 "RTGS_execute while a frame is in flight");
     trace_.clear();
-    currentFrame_ = frame_id;
 
     // The plug-in polls Input_done before consuming sorted Gaussians.
     emit(RtgsEvent::InputDone);

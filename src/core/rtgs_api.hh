@@ -81,13 +81,8 @@ class RtgsRuntime
      */
     RtgsStatus rtgsCheckStatus(int frame_id, bool blocking = false) const;
 
-    /** Flag trace of the most recent frame. */
-    const std::vector<RtgsEvent> &lastTrace() const { return trace_; }
-
     /** Frames executed so far. */
     u32 framesExecuted() const { return framesExecuted_; }
-
-    int currentFrameId() const { return currentFrame_; }
 
   private:
     void emit(RtgsEvent event);
@@ -98,7 +93,6 @@ class RtgsRuntime
     MapUpdateFn mapUpdate_;
     std::vector<RtgsEvent> trace_;
     RtgsStatus status_ = RtgsStatus::Idle;
-    int currentFrame_ = -1;
     u32 framesExecuted_ = 0;
 };
 

@@ -70,12 +70,7 @@ SimilarityGate::evaluate(const ImageRGB &rgb,
     if (!config_.enabled)
         return decision;
 
-    // Keep the probe aspect-correct; height from the frame's ratio.
-    u32 pw = std::max<u32>(8, std::min(config_.probeWidth, rgb.width()));
-    u32 ph = std::max<u32>(
-        8, static_cast<u32>(static_cast<u64>(pw) * rgb.height() /
-                            std::max<u32>(1, rgb.width())));
-    ImageRGB probe = resizeBox(rgb, pw, ph);
+    ImageRGB probe = resizeProbe(rgb, config_.probeWidth);
 
     if (!prevProbe_.empty() && prevProbe_.width() == probe.width() &&
         prevProbe_.height() == probe.height()) {

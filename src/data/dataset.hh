@@ -135,9 +135,6 @@ class SyntheticDataset
     /** Fetch (render-on-demand and cache) a frame. */
     const Frame &frame(u32 index);
 
-    /** Drop cached frames (memory control for long sweeps). */
-    void dropCache();
-
   private:
     DatasetSpec spec_;
     Intrinsics intrinsics_;

@@ -143,8 +143,9 @@ struct DefaultInitAllocator : std::allocator<T>
  *    clone refresh) bumps the refcount. The copy itself must be
  *    ordered against concurrent mut() calls by an external lock —
  *    SlamSystem does this under stateMutex_ — and handed to the
- *    reader through another synchronised channel (snapshotMutex_),
- *    which provides the happens-before edge for the buffer contents.
+ *    reader through another synchronised channel (the MapWorker's
+ *    hand-back under its statusMutex_), which provides the
+ *    happens-before edge for the buffer contents.
  *  - Shared reads: any number of threads may call const accessors on
  *    columns aliasing one buffer; nothing writes a shared buffer.
  *  - Mutation: mut()/store()/compactKeep() demand the caller hold

@@ -56,8 +56,6 @@ enum class SystemKind
     GauSpu,         //!< GauSPU comparator
 };
 
-const char *systemKindName(SystemKind kind);
-
 /** The integrated model. */
 class SystemModel
 {
@@ -70,7 +68,6 @@ class SystemModel
                 const RtgsHwConfig &plugin = RtgsHwConfig::paper());
 
     const EdgeGpuModel &gpuModel() const { return gpuModel_; }
-    const RtgsAccelModel &pluginModel() const { return pluginModel_; }
 
     /** Frame time of one frame under a system configuration. */
     double frameTime(const FrameTrace &frame, SystemKind kind,

@@ -67,6 +67,16 @@ resizeBox(const ImageF &src, u32 out_w, u32 out_h)
     return resizeBoxImpl(src, out_w, out_h);
 }
 
+ImageRGB
+resizeProbe(const ImageRGB &src, u32 probe_width)
+{
+    u32 pw = std::max<u32>(8, std::min(probe_width, src.width()));
+    u32 ph = std::max<u32>(
+        8, static_cast<u32>(static_cast<u64>(pw) * src.height() /
+                            std::max<u32>(1, src.width())));
+    return resizeBox(src, pw, ph);
+}
+
 ImageF
 resizeNearest(const ImageF &src, u32 out_w, u32 out_h)
 {

@@ -16,6 +16,14 @@ namespace rtgs
 /** Area-averaged resize (intended for shrinking). */
 ImageRGB resizeBox(const ImageRGB &src, u32 out_w, u32 out_h);
 
+/**
+ * Box-downsampled thumbnail for cheap frame comparisons (the similarity
+ * gate, the relocalizer's keyframe database): `probe_width` wide but
+ * never upsampled, height by the source's aspect, both floored at 8
+ * so thumbnails stay comparable.
+ */
+ImageRGB resizeProbe(const ImageRGB &src, u32 probe_width);
+
 /** Area-averaged resize of a scalar image (depth uses plain averaging). */
 ImageF resizeBox(const ImageF &src, u32 out_w, u32 out_h);
 

@@ -22,7 +22,7 @@
  *    latency stays bounded by the fleet's total weight, not by the
  *    burst length.
  *  - At most ONE turn per session is in flight (the turnScheduled
- *    flag, same pattern as MapWorker's single-drainer ledger), so a
+ *    flag, same pattern as MapWorker's single drain task), so a
  *    session's frames process strictly sequentially — the fleet
  *    never changes a session's frame order, only where it runs.
  *
@@ -47,16 +47,14 @@
  * pool, so a session's async MapWorker drains on it too, and its render
  * fork-joins (projection, binning, sort, raster, backward) run inline
  * on the worker executing the turn or drain — the pool's nested-call
- * rule. Multi-view forward passes a drain posts are claimed by a free
- * worker or run by the drain itself (AsyncForward::take), so a drain
- * never waits behind another session's turn. Quantum-bounded turns
- * (a turn requeues itself after `weight` frames) keep any posted
- * drain from starving behind an unbounded task.
- * Deadlock guard: a Block-policy map queue with no watchdog could
- * park a worker inside enqueue() while the drain that would free it
- * waits behind that very worker; openSession() forces a watchdog on
- * such configs so the push degrades to drop-oldest instead of
- * wedging the fleet.
+ * rule. No thread ever waits on a task that has not started: a turn
+ * that must wait for map work still queued behind it (the bootstrap
+ * wait for the first keyframe's map, a full Block-policy queue) runs
+ * that batch itself (MapWorker), and multi-view forward passes a
+ * batch posts are claimed by a free worker or run by the batch itself
+ * (AsyncForward::take). Quantum-bounded turns (a turn requeues itself
+ * after `weight` frames) keep a posted drain task from starving
+ * behind an unbounded task.
  */
 
 #ifndef RTGS_SLAM_FLEET_RUNTIME_HH
@@ -162,8 +160,7 @@ class FleetRuntime
      * Admit, queue, or reject a new session. On Admitted/Queued,
      * `id_out` names the session; on Rejected it is kInvalidSession.
      * The session's SlamConfig is copied with its pool pointed at the
-     * fleet's pool and (Block-policy async configs only) a
-     * watchdog forced — see the deadlock guard in the file comment.
+     * fleet's pool.
      */
     AdmitDecision openSession(const FleetSessionConfig &config,
                               SessionId &id_out);

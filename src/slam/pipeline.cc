@@ -191,21 +191,10 @@ SlamSystem::SlamSystem(const SlamConfig &config,
         break;
     }
 
-    // Evicted jobs never run; mark their report rows so drops are
-    // accounted instead of silently reading as unmapped keyframes, and
-    // hand their prunes back (this runs on the frame loop, inside
-    // enqueue) so the next job or flush carries them.
-    MapWorker::DropFn on_drop = [this](MapJob &job) {
-        mergeIds(prunedUnsent_, job.prunedIds);
-        MutexLock lock(reportMutex_);
-        rtgs_assert(job.reportIndex < reports_.size());
-        reports_[job.reportIndex].mapJobDropped = true;
-    };
     mapWorker_ = std::make_unique<MapWorker>(
         config.mapQueueDepth, std::max<u32>(1, config.mapBatchSize),
-        [this](std::vector<MapJob> &jobs) { runMapBatch(jobs); }, pool,
-        config.mapOverflowPolicy, config.mapWatchdogSeconds,
-        std::move(on_drop));
+        [this](std::vector<MapJob> &jobs) { return runMapBatch(jobs); },
+        pool, config.mapOverflowPolicy, config.mapWatchdogSeconds);
 
     if (config.health.enabled)
         health_ = std::make_unique<HealthMonitor>(config.health);
@@ -223,10 +212,12 @@ void
 SlamSystem::waitForMapping()
 {
     mapWorker_->drain();
+    collectMapReturns();
     // Prunes and masks made after the last map job was enqueued (or
     // handed back by an evicted one) have no job left to carry them;
     // fold them in now so cloud() honours every tracking decision once
-    // this returns.
+    // this returns. No batch is running, so this publication is the
+    // newest.
     std::vector<u64> masked = maskedIds(trackCloud_);
     std::vector<u64> pruned;
     pruned.swap(prunedUnsent_);
@@ -234,7 +225,35 @@ SlamSystem::waitForMapping()
     bool pruned_any = pruneIdsLocked(pruned);
     bool masked_any = maskIds(cloud_, masked);
     if (pruned_any || masked_any)
-        publishSnapshotLocked(lastPublishedFrame_);
+        trackingSnapshot_ = publishSnapshotLocked(lastPublishedFrame_);
+}
+
+void
+SlamSystem::collectMapReturns()
+{
+    MapReturns returns = mapWorker_->collect();
+    if (returns.snapshot)
+        trackingSnapshot_ = std::move(returns.snapshot);
+    for (const MapJob &job : returns.jobs) {
+        rtgs_assert(job.reportIndex < reports_.size());
+        FrameReport &row = reports_[job.reportIndex];
+        if (job.dropped) {
+            // Accounted instead of silently reading as an unmapped
+            // keyframe; the next job or flush carries its prunes.
+            row.mapJobDropped = true;
+            mergeIds(prunedUnsent_, job.prunedIds);
+            continue;
+        }
+        row.densified = job.densified;
+        row.mapLoss = job.mapLoss;
+        row.mapMultiViews = job.multiViews;
+        row.mapSeconds = job.mapSeconds;
+        row.gaussianCount = job.gaussianCount;
+        row.gaussianBytes = job.gaussianBytes;
+        row.mapBatchJobs = job.batchJobs;
+        row.publishedGeneration = job.publishedGeneration;
+        row.snapshotPublishSeconds = job.publishSeconds;
+    }
 }
 
 void
@@ -272,20 +291,15 @@ SlamSystem::pruneIdsLocked(const std::vector<u64> &ids)
     return true;
 }
 
-double
+std::shared_ptr<const TrackingSnapshot>
 SlamSystem::publishSnapshotLocked(u32 last_mapped_frame)
 {
-    Stopwatch watch;
     auto snapshot = std::make_shared<TrackingSnapshot>();
     snapshot->cloud = cloud_; // COW: one refcount bump per column
     snapshot->generation = ++mapGeneration_;
     snapshot->lastMappedFrame = last_mapped_frame;
     lastPublishedFrame_ = last_mapped_frame;
-    {
-        MutexLock snap(snapshotMutex_);
-        trackingSnapshot_ = std::move(snapshot);
-    }
-    return watch.seconds();
+    return snapshot;
 }
 
 void
@@ -574,9 +588,12 @@ SlamSystem::stageEnqueueMap(const data::Frame &frame, const SE3 &pose,
     job.maskedIds = maskedIds(trackCloud_);
     job.prunedIds.swap(prunedUnsent_);
     mapWorker_->enqueue(std::move(job));
+    // Collect at once: an evicted job's prunes need the next carrier,
+    // and a sync job's results belong in the row processFrame returns.
+    collectMapReturns();
 }
 
-void
+std::shared_ptr<const TrackingSnapshot>
 SlamSystem::runMapBatch(std::vector<MapJob> &jobs)
 {
     Stopwatch watch;
@@ -586,7 +603,7 @@ SlamSystem::runMapBatch(std::vector<MapJob> &jobs)
     u32 last_frame = jobs.back().record.frameIndex;
     size_t count, bytes;
     double publish_seconds;
-    u64 generation;
+    std::shared_ptr<const TrackingSnapshot> snapshot;
     {
         MutexLock lock(stateMutex_);
         // Fold tracking-side prune and mask decisions in first so this
@@ -612,42 +629,39 @@ SlamSystem::runMapBatch(std::vector<MapJob> &jobs)
         // batch — a refcount bump per column, not a cloud copy.
         // Subsequent frames track against the newest *completed* map
         // without ever waiting on an in-flight batch.
-        publish_seconds = publishSnapshotLocked(last_frame);
-        generation = mapGeneration_;
+        Stopwatch publish;
+        snapshot = publishSnapshotLocked(last_frame);
+        publish_seconds = publish.seconds();
     }
     double seconds = watch.seconds();
 
-    MutexLock lock(reportMutex_);
     for (size_t j = 0; j < jobs.size(); ++j) {
-        rtgs_assert(jobs[j].reportIndex < reports_.size());
-        FrameReport &row = reports_[jobs[j].reportIndex];
-        row.densified = items[j].densified;
-        row.mapLoss = items[j].mapLoss;
-        row.mapMultiViews = items[j].multiViews;
+        MapJob &job = jobs[j];
+        job.densified = items[j].densified;
+        job.mapLoss = items[j].mapLoss;
+        job.multiViews = items[j].multiViews;
         // Batch wall time amortised over its jobs (rows sum to the
         // true batch cost).
-        row.mapSeconds = seconds / static_cast<double>(jobs.size());
-        row.gaussianCount = count;
-        row.gaussianBytes = bytes;
-        row.mapBatchJobs = static_cast<u32>(jobs.size());
-        row.publishedGeneration = generation;
-        row.snapshotPublishSeconds =
-            j + 1 == jobs.size() ? publish_seconds : 0;
+        job.mapSeconds = seconds / static_cast<double>(jobs.size());
+        job.gaussianCount = count;
+        job.gaussianBytes = bytes;
+        job.batchJobs = static_cast<u32>(jobs.size());
+        job.publishedGeneration = snapshot->generation;
+        job.publishSeconds = j + 1 == jobs.size() ? publish_seconds : 0;
     }
+    return snapshot;
 }
 
 std::shared_ptr<const TrackingSnapshot>
 SlamSystem::snapshotCloud()
 {
-    {
-        MutexLock lock(snapshotMutex_);
-        if (trackingSnapshot_ && !trackingSnapshot_->cloud.empty())
-            return trackingSnapshot_;
-    }
-    // Bootstrap: the first keyframe's mapping may still be in flight;
-    // never track against an empty map when one is on the way.
+    collectMapReturns();
+    if (trackingSnapshot_ && !trackingSnapshot_->cloud.empty())
+        return trackingSnapshot_;
+    // Bootstrap: the first keyframe's mapping may still be queued or
+    // in flight; never track against an empty map when one is on the
+    // way.
     waitForMapping();
-    MutexLock lock(snapshotMutex_);
     if (!trackingSnapshot_)
         trackingSnapshot_ = std::make_shared<const TrackingSnapshot>();
     return trackingSnapshot_;
@@ -712,17 +726,12 @@ SlamSystem::pushReport(FrameReport &report)
     // Never touch stateMutex_ here (an in-flight async batch holds it
     // for its whole duration): report the latest *published* map's
     // footprint. Keyframe rows get their exact post-map numbers from
-    // the batch, which also maintains the peak.
-    std::shared_ptr<const TrackingSnapshot> snap;
-    {
-        MutexLock lock(snapshotMutex_);
-        snap = trackingSnapshot_;
+    // their collected jobs; the batch maintains the peak.
+    collectMapReturns();
+    if (trackingSnapshot_) {
+        report.gaussianCount = trackingSnapshot_->cloud.size();
+        report.gaussianBytes = trackingSnapshot_->cloud.parameterBytes();
     }
-    if (snap) {
-        report.gaussianCount = snap->cloud.size();
-        report.gaussianBytes = snap->cloud.parameterBytes();
-    }
-    MutexLock lock(reportMutex_);
     reports_.push_back(report);
     return reports_.size() - 1;
 }
@@ -755,30 +764,32 @@ SlamSystem::probePsnr(const data::Frame &frame, const SE3 &pose)
     // frame rendered, or for the geometric backend, which renders
     // nothing (its clone is only refreshed by relocalization and may
     // be stale), the newest published snapshot.
-    std::shared_ptr<const TrackingSnapshot> snap;
     const gs::GaussianCloud *cloud = &trackCloud_;
     if (config_.algorithm == BaseAlgorithm::PhotoSlam) {
-        {
-            MutexLock lock(snapshotMutex_);
-            snap = trackingSnapshot_;
-        }
-        if (!snap)
+        collectMapReturns();
+        if (!trackingSnapshot_)
             return -1;
-        cloud = &snap->cloud;
+        cloud = &trackingSnapshot_->cloud;
     }
     if (cloud->empty())
         return -1;
+    return probeScorer(frame, config_.health.probeWidth, *cloud)(pose);
+}
 
+std::function<double(const SE3 &)>
+SlamSystem::probeScorer(const data::Frame &frame, u32 probe_width,
+                        const gs::GaussianCloud &cloud) const
+{
     Real scale = std::min(
-        Real(1),
-        static_cast<Real>(config_.health.probeWidth) /
-            static_cast<Real>(std::max<u32>(1, frame.rgb.width())));
-    PreprocessedObservation obs =
-        preprocessObservation(frame, intrinsics_, scale);
-    Camera cam(obs.intr, pose);
-    gs::ForwardContext ctx = pipeline_.forward(*cloud, cam);
-    double db = psnr(ctx.result.image, obs.rgb());
-    return std::isfinite(db) ? db : 99.0; // identical probes: cap
+        Real(1), static_cast<Real>(probe_width) /
+                     static_cast<Real>(std::max<u32>(1, frame.rgb.width())));
+    return [this, obs = preprocessObservation(frame, intrinsics_, scale),
+            &cloud](const SE3 &pose) {
+        Camera cam(obs.intr, pose);
+        gs::ForwardContext ctx = pipeline_.forward(cloud, cam);
+        double db = psnr(ctx.result.image, obs.rgb());
+        return std::isfinite(db) ? db : 99.0; // identical probes: cap
+    };
 }
 
 bool
@@ -796,18 +807,7 @@ SlamSystem::stageRelocalize(const data::Frame &frame,
         return false; // nothing to search against yet; retry next frame
 
     // One downsampled observation shared by every candidate render.
-    Real scale = std::min(
-        Real(1),
-        static_cast<Real>(config_.reloc.probeWidth) /
-            static_cast<Real>(std::max<u32>(1, frame.rgb.width())));
-    PreprocessedObservation obs =
-        preprocessObservation(frame, intrinsics_, scale);
-    auto score = [&](const SE3 &p) {
-        Camera cam(obs.intr, p);
-        gs::ForwardContext ctx = pipeline_.forward(cloud, cam);
-        double db = psnr(ctx.result.image, obs.rgb());
-        return std::isfinite(db) ? db : 99.0; // identical probes: cap
-    };
+    auto score = probeScorer(frame, config_.reloc.probeWidth, cloud);
 
     report.relocAttempts = 1;
     RelocSearchResult found =
@@ -1021,8 +1021,7 @@ SlamSystem::runFrameStages(const data::Frame &frame, Real tracking_scale,
         return report;
     stageEnqueueMap(frame, pose, budget, report_index);
     // The job has run in place (sync) or may already have completed
-    // (async); return the freshest view.
-    MutexLock lock(reportMutex_);
+    // (async) and been collected; return the freshest view.
     return reports_[report_index];
 }
 

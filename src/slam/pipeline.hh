@@ -19,6 +19,7 @@
 #define RTGS_SLAM_PIPELINE_HH
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -112,9 +113,11 @@ struct SlamConfig
 
     /**
      * With the Block policy, how long (seconds) an enqueue-map push may
-     * stall on a full queue before the watchdog trips and that push
-     * degrades to evicting the oldest job instead of wedging the frame
-     * loop. <= 0 (the default) blocks indefinitely.
+     * wait on a full queue whose running batch is wedged before the
+     * watchdog trips and that push degrades to evicting the oldest job
+     * instead of wedging the frame loop: a fault mode, never needed for
+     * progress (a push runs queued work no thread has started itself).
+     * <= 0 (the default) waits indefinitely.
      */
     double mapWatchdogSeconds = 0;
 
@@ -301,20 +304,6 @@ struct SnapshotStats
 };
 
 /**
- * An immutable, generation-tagged view of the map published for
- * lock-free tracking. The cloud shares its column buffers with the
- * authoritative map via copy-on-write, so publishing costs O(columns)
- * refcount bumps; the map worker re-materialises only the columns it
- * later mutates.
- */
-struct TrackingSnapshot
-{
-    gs::GaussianCloud cloud;
-    u64 generation = 0;     //!< 1-based publication counter
-    u32 lastMappedFrame = 0; //!< newest keyframe folded into the map
-};
-
-/**
  * The SLAM system, organised as an explicit stage graph per frame:
  *
  *   preprocess -> track -> keyframe decision -> enqueue-map -> map
@@ -330,9 +319,12 @@ struct TrackingSnapshot
  * depth the map stage runs asynchronously on the system's pool
  * (SlamConfig::pool) behind a bounded keyframe queue; each drain
  * iteration pops up to config.mapBatchSize queued keyframes and maps
- * them as one batch. In async mode, call waitForMapping() before
- * reading cloud()/reports() (the map-iteration hook also fires on a
- * pool worker then).
+ * them as one batch. The MapWorker is the only channel between the
+ * frame loop and the map: jobs go in, and finished jobs and the newest
+ * published snapshot come back, which the frame loop collects into its
+ * own report rows and snapshot whenever it reads them. In async mode,
+ * call waitForMapping() before reading cloud()/reports() (the
+ * map-iteration hook also fires on a pool worker then).
  *
  * Feed frames in order via processFrame(); read the trajectory, map,
  * and reports afterwards.
@@ -349,8 +341,9 @@ class SlamSystem
      * sync mode (each frame ends drained, so between frames it holds
      * every prune and mask made inside processFrame; RtgsSlam drains
      * again after its post-frame Taming prune), after
-     * waitForMapping() quiesced the workers in async mode, and from
-     * map-iteration hooks (which already run under the state lock).
+     * waitForMapping() in async mode (no batch runs again until the
+     * next enqueue), and from map-iteration hooks (which already run
+     * under the state lock).
      * The analysis escape is deliberate: locking here would deadlock
      * the hook path.
      */
@@ -370,15 +363,12 @@ class SlamSystem
     const std::vector<SE3> &trajectory() const { return trajectory_; }
 
     /**
-     * All per-frame reports. Async-mode rows marked mappedAsync are
-     * worker-filled; call waitForMapping() before reading them (the
-     * escape mirrors cloud()).
+     * All per-frame reports; frame-loop state like trajectory(). A
+     * keyframe row gets its map results when the frame loop collects
+     * the finished job, so async-mode rows marked mappedAsync are
+     * complete only after waitForMapping().
      */
-    const std::vector<FrameReport> &
-    reports() const RTGS_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return reports_;
-    }
+    const std::vector<FrameReport> &reports() const { return reports_; }
 
     const gs::RenderPipeline &renderPipeline() const { return pipeline_; }
     StageProfiler &profiler() { return profiler_; }
@@ -441,15 +431,18 @@ class SlamSystem
     void rebindFrameLoopThread();
 
     /**
-     * Block until every enqueued mapping job has completed, then flush:
-     * fold the prunes no job carried and the tracking clone's masks
-     * into the authoritative cloud, publishing a snapshot when that
-     * changed anything. Sync-mode processFrame ends with this call.
-     * Call before reading the cloud, reports, or rendering when
+     * Block until every enqueued mapping job has been mapped or
+     * dropped (running queued batches on this thread when no other
+     * thread has started them), collect them into the report rows,
+     * then flush: fold the prunes no job carried and the tracking
+     * clone's masks into the authoritative cloud, publishing a
+     * snapshot straight into the frame loop's when that changed
+     * anything. Sync-mode processFrame ends with this call. Call
+     * before reading the cloud, reports, or rendering when
      * mapQueueDepth > 0. Frame-loop thread only (it reads the tracking
-     * clone and the unsent prunes).
+     * clone, the unsent prunes and the report rows).
      */
-    void waitForMapping() RTGS_EXCLUDES(stateMutex_, snapshotMutex_);
+    void waitForMapping() RTGS_EXCLUDES(stateMutex_);
 
     /** Largest Gaussian-parameter footprint seen so far (bytes). */
     size_t
@@ -545,14 +538,33 @@ class SlamSystem
      *  async batch may hold it). */
     double probePsnr(const data::Frame &frame, const SE3 &pose);
 
+    /** Probe scorer shared by the divergence probe and relocalization:
+     *  downsamples `frame` once to `probe_width`, then returns the PSNR
+     *  (dB, capped at 99 for identical images) of a render of `cloud`
+     *  at a given pose against it. `frame` and `cloud` must outlive
+     *  the scorer. */
+    std::function<double(const SE3 &)>
+    probeScorer(const data::Frame &frame, u32 probe_width,
+                const gs::GaussianCloud &cloud) const;
+
     /**
      * Append the frame's report row and return its index. The row
-     * records the newest published map's footprint, which lacks this
-     * frame's prunes (in sync mode too: the drain comes at the end of
-     * the frame); a keyframe row's map batch later overwrites it with
-     * its post-map numbers.
+     * records the footprint of the newest map published by the time
+     * of the call, which lacks this frame's prunes (in sync mode too:
+     * the drain comes at the end of the frame); collecting a keyframe
+     * row's finished job later overwrites it with its post-map
+     * numbers.
      */
     size_t pushReport(FrameReport &report);
+
+    /**
+     * Take what the map worker handed back: write each finished job's
+     * results into its report row, flag an evicted job's row and hand
+     * its prunes to the next job or flush, and adopt the newest
+     * published snapshot. Frame-loop thread only; every read of the
+     * rows or the snapshot collects first.
+     */
+    void collectMapReturns();
 
     /** Keyframe decision from the tracked pose / policy override. */
     bool stageKeyframeDecision(const data::Frame &frame, const SE3 &pose,
@@ -567,8 +579,10 @@ class SlamSystem
     /** Map stage body: one FIFO batch of up to mapBatchSize keyframes,
      *  on a pool worker (async) or in place (sync, one job). Folds in
      *  the union of its jobs' prunes and its last job's masks, maps,
-     *  and publishes one snapshot. */
-    void runMapBatch(std::vector<MapJob> &jobs);
+     *  fills each job's results, and returns the one snapshot it
+     *  published. */
+    std::shared_ptr<const TrackingSnapshot>
+    runMapBatch(std::vector<MapJob> &jobs);
 
     /**
      * Latest published map snapshot. Map batches publish a fresh
@@ -594,9 +608,9 @@ class SlamSystem
     bool pruneIdsLocked(const std::vector<u64> &ids)
         RTGS_REQUIRES(stateMutex_);
 
-    /** Publish cloud_ as a new snapshot generation; returns the wall
-     *  seconds the publication cost. */
-    double publishSnapshotLocked(u32 last_mapped_frame)
+    /** Publish cloud_ as a new snapshot generation. */
+    std::shared_ptr<const TrackingSnapshot>
+    publishSnapshotLocked(u32 last_mapped_frame)
         RTGS_REQUIRES(stateMutex_);
 
     // --- Immutable after construction / internally synchronized.
@@ -650,10 +664,15 @@ class SlamSystem
      *  job takes them, an evicted job hands its own back, and
      *  waitForMapping()'s flush folds in what is left. */
     std::vector<u64> prunedUnsent_;
+    /** One row per processed frame; keyframe rows are completed when
+     *  their finished map job is collected. */
+    std::vector<FrameReport> reports_;
+    /** The newest published snapshot collected from the map worker (or
+     *  published by waitForMapping()'s flush). */
+    std::shared_ptr<const TrackingSnapshot> trackingSnapshot_;
 
     /** Guards the authoritative map state against the async map stage.
-     *  Lock order: stateMutex_ before snapshotMutex_ / reportMutex_
-     *  (never the reverse). */
+     *  The only other lock on the map path is the MapWorker's own. */
     mutable Mutex stateMutex_;
     gs::GaussianCloud cloud_ RTGS_GUARDED_BY(stateMutex_);
     Mapper mapper_ RTGS_GUARDED_BY(stateMutex_);
@@ -662,16 +681,6 @@ class SlamSystem
     u64 mapGeneration_ RTGS_GUARDED_BY(stateMutex_) = 0;
     /** Newest keyframe folded into a published snapshot. */
     u32 lastPublishedFrame_ RTGS_GUARDED_BY(stateMutex_) = 0;
-
-    /** Guards reports_ (caller pushes rows, the worker fills them in). */
-    mutable Mutex reportMutex_;
-    std::vector<FrameReport> reports_ RTGS_GUARDED_BY(reportMutex_);
-
-    /** Guards trackingSnapshot_ (published by map batches, read by
-     *  track). */
-    mutable Mutex snapshotMutex_;
-    std::shared_ptr<const TrackingSnapshot> trackingSnapshot_
-        RTGS_GUARDED_BY(snapshotMutex_);
 
     /** The map stage: a bounded async drain, or (mapQueueDepth == 0)
      *  runs each job in place. Declared last so its destructor drains

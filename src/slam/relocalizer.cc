@@ -51,13 +51,7 @@ Relocalizer::makeProbe(const ImageRGB &rgb) const
 {
     if (rgb.width() == 0 || rgb.height() == 0)
         return {};
-    // Same probe construction as the SimilarityGate: aspect-correct,
-    // never upsampled, floored so thumbnails stay comparable.
-    u32 pw = std::max<u32>(8, std::min(config_.probeWidth, rgb.width()));
-    u32 ph = std::max<u32>(
-        8, static_cast<u32>(static_cast<u64>(pw) * rgb.height() /
-                            rgb.width()));
-    return resizeBox(rgb, pw, ph);
+    return resizeProbe(rgb, config_.probeWidth);
 }
 
 void

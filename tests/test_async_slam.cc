@@ -431,6 +431,7 @@ TEST(MapWorkerTest, BatchedDrainPreservesFifoAndBatchCap)
                          batches.push_back(std::move(frames));
                          cv.notify_all();
                          cv.wait(lock, [&] { return release; });
+                         return nullptr;
                      },
                      pool);
 
@@ -469,15 +470,19 @@ TEST(MapWorkerTest, EnqueueBlocksAtQueueCapacity)
     std::mutex m;
     std::condition_variable cv;
     bool release = false;
+    size_t started = 0;
     std::vector<u32> ran;
 
     ThreadPool pool(1);
     MapWorker worker(/*queue_depth=*/1, /*batch_size=*/1,
                      [&](std::vector<MapJob> &batch) {
                          std::unique_lock<std::mutex> lock(m);
+                         ++started;
+                         cv.notify_all();
                          cv.wait(lock, [&] { return release; });
                          for (const MapJob &j : batch)
                              ran.push_back(j.record.frameIndex);
+                         return nullptr;
                      },
                      pool);
 
@@ -487,6 +492,12 @@ TEST(MapWorkerTest, EnqueueBlocksAtQueueCapacity)
         return job;
     };
     worker.enqueue(make_job(0)); // popped by the (gated) drainer
+    {
+        // A full push waits only on a batch that is running; one that
+        // has merely been posted it would run itself.
+        std::unique_lock<std::mutex> lock(m);
+        cv.wait(lock, [&] { return started == 1; });
+    }
     worker.enqueue(make_job(1)); // fills the queue to capacity
 
     std::atomic<bool> third_enqueued{false};
@@ -590,7 +601,6 @@ TEST(MapWorkerTest, DropOldestEvictsStaleJobsWithAccounting)
     std::condition_variable cv;
     bool release = false;
     std::vector<u32> ran;
-    std::vector<u32> dropped;
 
     ThreadPool pool(1);
     MapWorker worker(
@@ -601,9 +611,9 @@ TEST(MapWorkerTest, DropOldestEvictsStaleJobsWithAccounting)
                 ran.push_back(j.record.frameIndex);
             cv.notify_all();
             cv.wait(lock, [&] { return release; });
+            return nullptr;
         },
-        pool, OverflowPolicy::DropOldest, /*watchdog_seconds=*/0,
-        [&](MapJob &job) { dropped.push_back(job.record.frameIndex); });
+        pool, OverflowPolicy::DropOldest);
 
     auto make_job = [](u32 frame) {
         MapJob job;
@@ -628,8 +638,12 @@ TEST(MapWorkerTest, DropOldestEvictsStaleJobsWithAccounting)
 
     EXPECT_EQ(ran, (std::vector<u32>{0, 3, 4}))
         << "survivors keep FIFO order; stale jobs are gone";
+    std::vector<u32> dropped, mapped;
+    for (const MapJob &job : worker.collect().jobs)
+        (job.dropped ? dropped : mapped).push_back(job.record.frameIndex);
     EXPECT_EQ(dropped, (std::vector<u32>{1, 2}))
-        << "the on-drop callback sees exactly the evicted jobs";
+        << "exactly the evicted jobs come back flagged dropped";
+    EXPECT_EQ(mapped, (std::vector<u32>{0, 3, 4}));
     EXPECT_EQ(worker.droppedJobs(), 2u);
     EXPECT_EQ(worker.watchdogTrips(), 0u);
 }
@@ -643,7 +657,6 @@ TEST(MapWorkerTest, WatchdogUnwedgesBlockedProducer)
     std::condition_variable cv;
     bool release = false;
     std::vector<u32> ran;
-    std::vector<u32> dropped;
 
     ThreadPool pool(1);
     MapWorker worker(
@@ -654,9 +667,9 @@ TEST(MapWorkerTest, WatchdogUnwedgesBlockedProducer)
                 ran.push_back(j.record.frameIndex);
             cv.notify_all();
             cv.wait(lock, [&] { return release; }); // wedged until release
+            return nullptr;
         },
-        pool, OverflowPolicy::Block, /*watchdog_seconds=*/0.05,
-        [&](MapJob &job) { dropped.push_back(job.record.frameIndex); });
+        pool, OverflowPolicy::Block, /*watchdog_seconds=*/0.05);
 
     auto make_job = [](u32 frame) {
         MapJob job;
@@ -679,7 +692,10 @@ TEST(MapWorkerTest, WatchdogUnwedgesBlockedProducer)
 
     EXPECT_EQ(worker.watchdogTrips(), 1u);
     EXPECT_EQ(worker.droppedJobs(), 1u);
-    EXPECT_EQ(dropped, (std::vector<u32>{1}));
+    std::vector<MapJob> back = worker.collect().jobs;
+    ASSERT_EQ(back.size(), 1u) << "job 0 is still running";
+    EXPECT_TRUE(back[0].dropped);
+    EXPECT_EQ(back[0].record.frameIndex, 1u);
 
     {
         std::lock_guard<std::mutex> lock(m);
@@ -688,6 +704,84 @@ TEST(MapWorkerTest, WatchdogUnwedgesBlockedProducer)
     cv.notify_all();
     worker.drain();
     EXPECT_EQ(ran, (std::vector<u32>{0, 2}));
+}
+
+TEST(MapWorkerTest, WaitersRunQueuedBatchesNoThreadHasStarted)
+{
+    // A paused pool never starts the drain task, like a 1-worker fleet
+    // whose only worker is the one waiting. A full Block push and
+    // drain() must run the queued work themselves, oldest first,
+    // instead of waiting on a task queued behind them.
+    std::vector<std::vector<u32>> batches;
+    std::vector<std::thread::id> threads;
+    auto make_job = [](u32 frame) {
+        MapJob job;
+        job.record.frameIndex = frame;
+        return job;
+    };
+    ThreadPool pool(1, /*start_paused=*/true);
+    MapWorker worker(/*queue_depth=*/2, /*batch_size=*/2,
+                     [&](std::vector<MapJob> &batch) {
+                         std::vector<u32> frames;
+                         for (const MapJob &j : batch)
+                             frames.push_back(j.record.frameIndex);
+                         batches.push_back(std::move(frames));
+                         threads.push_back(std::this_thread::get_id());
+                         return nullptr;
+                     },
+                     pool);
+    worker.enqueue(make_job(0));
+    worker.enqueue(make_job(1)); // queue {0, 1}: full
+    worker.enqueue(make_job(2)); // runs {0, 1} here, then queues 2
+    ASSERT_EQ(batches.size(), 1u);
+    EXPECT_EQ(batches[0], (std::vector<u32>{0, 1}));
+    worker.enqueue(make_job(3)); // queue {2, 3}
+    worker.drain();              // runs {2, 3} here
+    EXPECT_EQ(batches,
+              (std::vector<std::vector<u32>>{{0, 1}, {2, 3}}));
+    for (std::thread::id id : threads)
+        EXPECT_EQ(id, std::this_thread::get_id());
+    EXPECT_EQ(worker.droppedJobs(), 0u);
+    EXPECT_EQ(worker.watchdogTrips(), 0u);
+    EXPECT_EQ(worker.collect().jobs.size(), 4u);
+    // The posted drain task finds nothing to do and retires, which the
+    // worker's destructor waits for.
+    pool.start();
+}
+
+TEST(MapWorkerTest, CollectHandsBackEveryJobAndOnlyTheNewestSnapshot)
+{
+    ThreadPool pool(1);
+    u64 generation = 0;
+    MapWorker worker(
+        /*queue_depth=*/0, /*batch_size=*/1,
+        [&](std::vector<MapJob> &batch) {
+            auto snapshot = std::make_shared<TrackingSnapshot>();
+            snapshot->generation = ++generation;
+            for (MapJob &job : batch)
+                job.publishedGeneration = snapshot->generation;
+            return std::shared_ptr<const TrackingSnapshot>(snapshot);
+        },
+        pool);
+    for (u32 f = 0; f < 3; ++f) {
+        MapJob job;
+        job.record.frameIndex = f;
+        worker.enqueue(std::move(job));
+    }
+    MapReturns back = worker.collect();
+    ASSERT_EQ(back.jobs.size(), 3u);
+    for (u32 f = 0; f < 3; ++f) {
+        EXPECT_EQ(back.jobs[f].record.frameIndex, f);
+        EXPECT_EQ(back.jobs[f].publishedGeneration, f + 1);
+        EXPECT_FALSE(back.jobs[f].dropped);
+    }
+    ASSERT_NE(back.snapshot, nullptr);
+    EXPECT_EQ(back.snapshot->generation, 3u);
+    EXPECT_EQ(back.snapshot.use_count(), 1)
+        << "superseded snapshots are released, not queued";
+    MapReturns again = worker.collect();
+    EXPECT_TRUE(again.jobs.empty());
+    EXPECT_EQ(again.snapshot, nullptr);
 }
 
 TEST(AsyncSlam, DropOldestPolicyCompletesFloodedRunWithAccounting)

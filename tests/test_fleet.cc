@@ -22,8 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <vector>
 
 #include "slam/fleet_runtime.hh"
@@ -485,6 +488,79 @@ TEST(FleetRuntime, AdmissionRejectsAndQueuesPastCapacity)
     // Unknown ids are handled, not crashed on.
     EXPECT_EQ(nullptr, fleet.system(9999));
     EXPECT_EQ(0u, fleet.sessionStats(9999).submitted);
+}
+
+// ---------------------------------------------------------------- //
+//               One worker: no thread waits on itself              //
+// ---------------------------------------------------------------- //
+
+TEST(FleetRuntime, OneWorkerAsyncSessionsCompleteWithoutDrops)
+{
+    // On a 1-worker fleet a session's turn, its map drain task and
+    // every fork-join share one thread. A turn that must wait for map
+    // work queued behind it — frame 1's bootstrap wait for frame 0's
+    // map, a full Block queue — has to run that work itself: waiting
+    // would hang the fleet, and a watchdog would shed keyframes.
+    // MonoGS (kfInterval 4) hits the bootstrap wait; SplaTAM maps
+    // every frame, so each 4-frame turn overfills a queue of 2.
+    struct Outcome
+    {
+        FleetSessionStats stats;
+        size_t frames = 0;
+        size_t dropped = 0;
+        size_t trips = 0;
+    };
+    const BaseAlgorithm algos[] = {BaseAlgorithm::MonoGs,
+                                   BaseAlgorithm::SplaTam};
+    for (BaseAlgorithm algo : algos) {
+        auto run = std::async(std::launch::async, [algo] {
+            auto &ds = tinyDataset();
+            FleetConfig fleet_cfg;
+            fleet_cfg.workers = 1;
+            fleet_cfg.startPaused = true;
+            FleetRuntime fleet(fleet_cfg);
+            FleetSessionConfig session;
+            session.slam = fastConfig(algo);
+            session.slam.mapQueueDepth = 2;
+            session.intrinsics = ds.intrinsics();
+            session.weight = 4;
+            session.frameQueueDepth = ds.frameCount();
+            FleetRuntime::SessionId id = 0;
+            Outcome out;
+            if (fleet.openSession(session, id) != AdmitDecision::Admitted)
+                return out;
+            for (u32 f = 0; f < ds.frameCount(); ++f)
+                fleet.submitFrame(id, ds.frame(f));
+            fleet.start();
+            fleet.drainSession(id);
+            out.stats = fleet.sessionStats(id);
+            out.frames = fleet.system(id)->trajectory().size();
+            out.dropped = fleet.system(id)->mapJobsDropped();
+            out.trips = fleet.system(id)->mapWatchdogTrips();
+            return out;
+        });
+        if (run.wait_for(std::chrono::seconds(60)) !=
+            std::future_status::ready) {
+            // A hung fleet cannot be joined; fail loudly instead.
+            std::fprintf(stderr,
+                         "%s session on a 1-worker fleet did not drain "
+                         "within 60 s: a thread is waiting on work "
+                         "queued behind itself\n",
+                         algorithmName(algo));
+            std::abort();
+        }
+        Outcome out = run.get();
+        EXPECT_EQ(tinyDataset().frameCount(), out.stats.submitted)
+            << algorithmName(algo);
+        EXPECT_EQ(out.stats.submitted, out.stats.completed)
+            << algorithmName(algo);
+        EXPECT_EQ(tinyDataset().frameCount(), out.frames)
+            << algorithmName(algo);
+        EXPECT_EQ(0u, out.dropped)
+            << algorithmName(algo) << ": keyframes were shed";
+        EXPECT_EQ(0u, out.trips)
+            << algorithmName(algo) << ": the map watchdog tripped";
+    }
 }
 
 // ---------------------------------------------------------------- //
